@@ -178,13 +178,7 @@ impl BatchStats {
     /// this stays [`Bottleneck::Die`]/[`Bottleneck::Channel`] and breaks
     /// when the serial controller merge takes over.
     pub fn bottleneck(&self) -> Bottleneck {
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 }
 
@@ -198,6 +192,33 @@ pub enum Bottleneck {
     Channel,
     /// The controller's serial cross-die / cross-shard merge dominates.
     Merge,
+}
+
+impl Bottleneck {
+    /// Attributes a pass from its busiest die, busiest channel bus and
+    /// controller merge time (all µs): the merge when it exceeds both
+    /// flash resources, else the busier of channel and die (a tie goes
+    /// to the die).
+    pub fn of(die_us: f64, channel_us: f64, merge_us: f64) -> Self {
+        if merge_us > die_us && merge_us > channel_us {
+            Bottleneck::Merge
+        } else if channel_us > die_us {
+            Bottleneck::Channel
+        } else {
+            Bottleneck::Die
+        }
+    }
+}
+
+/// The controller merge's share of a pass's critical path plus merge
+/// time, in `[0, 1]` — 0 when the pass was pure flash work.
+pub(crate) fn merge_share(critical_us: f64, merge_us: f64) -> f64 {
+    let total = critical_us + merge_us;
+    if total <= 0.0 {
+        0.0
+    } else {
+        merge_us / total
+    }
 }
 
 /// Results of [`FlashCosmosDevice::submit`]: one vector per query, in

@@ -12,12 +12,13 @@
 //!   about an operand's home. All of an operand's pages, overwrites and
 //!   maintenance stay on its home shard.
 //! * **Cross-shard queries** — an expression whose operands span shards
-//!   splits the way cross-plane queries split inside a device: n-ary
+//!   goes through the same [`crossdie::partition`] that splits
+//!   cross-plane queries inside a device, keyed by home shard: n-ary
 //!   AND/OR children are bucketed by home shard (co-resident children
 //!   compile into one per-shard leaf query, keeping MWS fusion on the
-//!   shard), spanning children recurse, and the cluster controller
-//!   merges the per-shard partial vectors (`ClusterPlan`). Thresholds
-//!   expand to AND/OR form first, exactly as in the cross-die splitter.
+//!   shard), spanning children recurse, thresholds expand to AND/OR
+//!   form first, and the cluster controller merges the per-shard
+//!   partial vectors with [`crossdie::eval_merge`].
 //! * **Batched submission** — [`FcCluster::submit`] compiles a whole
 //!   [`QueryBatch`] into one per-shard sub-batch per shard (so each
 //!   shard plans its leaves jointly: dedup and shared-term extraction
@@ -37,17 +38,17 @@
 //! [`FcCluster::shard_mut`], the lint-mutators chokepoint.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::time::Instant;
 
 use fc_bits::BitVec;
 use fc_ssd::SsdConfig;
 
-use crate::batch::{BatchStats, Bottleneck, QueryBatch, QueryFailure, QueryId};
-use crate::crossdie::MergeOp;
+use crate::batch::{merge_share, BatchStats, Bottleneck, QueryBatch, QueryFailure};
+use crate::crossdie::{self, MergeTree};
 use crate::device::{FcError, FlashCosmosDevice, OperandHandle, StoreHints};
 use crate::expr::{Expr, Nnf, OperandId};
 use crate::maintenance::MaintenanceStats;
-use crate::planner::expand_thresholds;
 use crate::session::DrainStats;
 
 /// Where a cluster operand lives: its home shard and the shard-local
@@ -70,18 +71,6 @@ pub struct FcCluster {
     registry: Vec<Slot>,
     /// Name → cluster operand id.
     names: BTreeMap<String, OperandId>,
-}
-
-/// The compiled shape of one cross-shard query: per-shard leaf
-/// expressions merged by the cluster controller. Mirrors
-/// [`crate::crossdie::ExecPlan`] one level up.
-#[derive(Debug, Clone)]
-enum ClusterPlan {
-    /// All operands of this subtree live on one shard: runs there as a
-    /// single (jointly planned) query, in shard-local operand ids.
-    Leaf { shard: usize, expr: Expr },
-    /// Controller merge over sub-plans.
-    Merge { op: MergeOp, parts: Vec<ClusterPlan> },
 }
 
 /// Execution statistics of one cluster pass ([`FcCluster::submit`] /
@@ -112,24 +101,13 @@ impl ClusterStats {
     /// What bounded this pass: the busiest die, the busiest channel bus,
     /// or the cluster controller's merge work.
     pub fn bottleneck(&self) -> Bottleneck {
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 
     /// Fraction of the end-to-end modeled+measured time spent in the
     /// controller merge, in `[0, 1]`.
     pub fn merge_share(&self) -> f64 {
-        let total = self.critical_path_us + self.merge_us;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.merge_us / total
-        }
+        merge_share(self.critical_path_us, self.merge_us)
     }
 }
 
@@ -139,22 +117,15 @@ impl ClusterStats {
 /// that depend on it).
 #[derive(Debug, Clone)]
 pub struct ClusterResults {
-    /// Per-query result vectors, indexed by [`QueryId`]. Failed queries
-    /// hold empty vectors.
+    /// Per-query result vectors, indexed by
+    /// [`QueryId`](crate::batch::QueryId). Failed queries hold empty
+    /// vectors.
     pub results: Vec<BitVec>,
     /// Cluster execution statistics.
     pub stats: ClusterStats,
     /// Queries that could not be answered, with the cluster-level query
     /// id and the underlying shard failure.
     pub failures: Vec<QueryFailure>,
-}
-
-/// One query's merge recipe over the per-shard sub-batches: leaves index
-/// `(shard, shard-local QueryId)`.
-#[derive(Debug)]
-enum IndexedPlan {
-    Leaf { shard: usize, query: QueryId },
-    Merge { op: MergeOp, parts: Vec<IndexedPlan> },
 }
 
 impl FcCluster {
@@ -285,11 +256,19 @@ impl FcCluster {
     pub fn submit(&self, batch: &QueryBatch) -> Result<ClusterResults, FcError> {
         let shards = self.shards.len();
         let mut sub_batches: Vec<QueryBatch> = vec![QueryBatch::new(); shards];
-        let mut plans = Vec::with_capacity(batch.len());
+        // Every query's leaves, as (shard, shard-local query), with each
+        // query's range into them and its merge recipe over them.
+        let mut leaves = Vec::new();
+        let mut plans: Vec<(Range<usize>, MergeTree)> = Vec::with_capacity(batch.len());
         for expr in batch.queries() {
-            let nnf = expr.to_nnf();
-            let plan = self.split(&nnf)?;
-            plans.push(self.index_plan(plan, &mut sub_batches));
+            let plan = crossdie::partition(
+                &expr.to_nnf(),
+                &|id| self.shard_of(id),
+                &mut |shard, sub: &Nnf| Ok((shard, sub_batches[shard].push(self.localize(sub)))),
+            )?;
+            let start = leaves.len();
+            let tree = plan.flatten(&mut leaves);
+            plans.push((start..leaves.len(), tree));
         }
 
         let mut stats =
@@ -315,12 +294,17 @@ impl FcCluster {
         let mut results = Vec::with_capacity(plans.len());
         let mut failures = Vec::new();
         let merge_start = Instant::now();
-        for (q, plan) in plans.iter().enumerate() {
-            if let Some(fail) = plan_failure(plan, &shard_failures) {
+        let mut pages: Vec<Option<BitVec>> =
+            leaves.iter().map(|&(s, q)| Some(std::mem::take(&mut shard_results[s][q]))).collect();
+        for (q, (range, tree)) in plans.iter().enumerate() {
+            let failure = leaves[range.clone()]
+                .iter()
+                .find_map(|&(s, leaf)| shard_failures[s].iter().find(|f| f.query == leaf).copied());
+            if let Some(fail) = failure {
                 failures.push(QueryFailure { query: q, ..fail });
                 results.push(BitVec::zeros(0));
             } else {
-                results.push(eval_indexed(plan, &shard_results));
+                results.push(crossdie::eval_merge(tree, &mut pages));
             }
         }
         stats.merge_us += merge_start.elapsed().as_secs_f64() * 1e6;
@@ -359,87 +343,9 @@ impl FcCluster {
         self.registry.get(id).map(|s| s.shard).ok_or(FcError::UnknownOperand(id))
     }
 
-    /// Splits a normalized expression into per-shard leaves merged by
-    /// the cluster controller — the shard-level mirror of
-    /// [`crate::crossdie`]'s per-plane split: n-ary AND/OR children are
-    /// bucketed by home shard (co-resident children stay one leaf so the
-    /// shard's planner can fuse them), spanning children recurse, and
-    /// thresholds expand to AND/OR form first.
-    fn split(&self, nnf: &Nnf) -> Result<ClusterPlan, FcError> {
-        let mut homes = BTreeMap::new();
-        for id in nnf.operands() {
-            homes.insert(id, self.shard_of(id)?);
-        }
-        self.split_inner(nnf, &homes)
-    }
-
-    fn split_inner(
-        &self,
-        nnf: &Nnf,
-        homes: &BTreeMap<OperandId, usize>,
-    ) -> Result<ClusterPlan, FcError> {
-        if let Some(shard) = single_shard(nnf, homes) {
-            return Ok(ClusterPlan::Leaf { shard, expr: self.localize(nnf) });
-        }
-        match nnf {
-            Nnf::Literal(_) => unreachable!("a literal has exactly one home shard"),
-            Nnf::And(children) => self.split_nary(MergeOp::And, children, homes),
-            Nnf::Or(children) => self.split_nary(MergeOp::Or, children, homes),
-            Nnf::Xor(a, b) => {
-                // XOR merges bit-exactly from full partial vectors, so —
-                // unlike the in-device splitter, which is constrained by
-                // what the latch circuit can merge — any operand split
-                // works here.
-                let parts = vec![self.split_inner(a, homes)?, self.split_inner(b, homes)?];
-                Ok(ClusterPlan::Merge { op: MergeOp::Xor, parts })
-            }
-            Nnf::Threshold { .. } => {
-                let expanded = expand_thresholds(nnf).map_err(FcError::Plan)?;
-                self.split_inner(&expanded, homes)
-            }
-        }
-    }
-
-    /// Buckets n-ary AND/OR children by home shard: children fully
-    /// resident on one shard compile together into that shard's leaf,
-    /// spanning children recurse into their own sub-plans.
-    fn split_nary(
-        &self,
-        op: MergeOp,
-        children: &[Nnf],
-        homes: &BTreeMap<OperandId, usize>,
-    ) -> Result<ClusterPlan, FcError> {
-        let mut buckets: BTreeMap<usize, Vec<&Nnf>> = BTreeMap::new();
-        let mut spanning = Vec::new();
-        for child in children {
-            match single_shard(child, homes) {
-                Some(shard) => buckets.entry(shard).or_default().push(child),
-                None => spanning.push(child),
-            }
-        }
-        let mut parts = Vec::new();
-        for (shard, group) in buckets {
-            let exprs: Vec<Expr> = group.iter().map(|n| self.localize(n)).collect();
-            let expr = match op {
-                MergeOp::And => Expr::and(exprs),
-                MergeOp::Or => Expr::or(exprs),
-                MergeOp::Xor => unreachable!("XOR splits via its own arm"),
-            };
-            parts.push(ClusterPlan::Leaf { shard, expr });
-        }
-        for child in spanning {
-            parts.push(self.split_inner(child, homes)?);
-        }
-        if parts.len() == 1 {
-            Ok(parts.pop().expect("one part"))
-        } else {
-            Ok(ClusterPlan::Merge { op, parts })
-        }
-    }
-
     /// Rebuilds a normalized subtree as an [`Expr`] in shard-local
     /// operand ids. Only called on subtrees whose operands all resolved
-    /// through the registry (validated by [`FcCluster::split`]).
+    /// through the registry (validated by [`FcCluster::shard_of`]).
     fn localize(&self, nnf: &Nnf) -> Expr {
         match nnf {
             Nnf::Literal(lit) => {
@@ -456,65 +362,6 @@ impl FcCluster {
             Nnf::Threshold { k, children } => {
                 Expr::threshold(*k, children.iter().map(|c| self.localize(c)).collect())
             }
-        }
-    }
-
-    /// Moves a plan's leaves into the per-shard sub-batches, replacing
-    /// each leaf expression with its `(shard, shard-local QueryId)`
-    /// coordinates for the merge pass.
-    fn index_plan(&self, plan: ClusterPlan, sub_batches: &mut [QueryBatch]) -> IndexedPlan {
-        match plan {
-            ClusterPlan::Leaf { shard, expr } => {
-                let query = sub_batches[shard].push(expr);
-                IndexedPlan::Leaf { shard, query }
-            }
-            ClusterPlan::Merge { op, parts } => IndexedPlan::Merge {
-                op,
-                parts: parts.into_iter().map(|p| self.index_plan(p, sub_batches)).collect(),
-            },
-        }
-    }
-}
-
-/// If every operand of `nnf` lives on one shard, that shard.
-fn single_shard(nnf: &Nnf, homes: &BTreeMap<OperandId, usize>) -> Option<usize> {
-    let mut shard = None;
-    for id in nnf.operands() {
-        let home = homes[&id];
-        match shard {
-            None => shard = Some(home),
-            Some(s) if s != home => return None,
-            Some(_) => {}
-        }
-    }
-    shard
-}
-
-/// The first shard failure any leaf of `plan` depends on, if any.
-fn plan_failure(plan: &IndexedPlan, failures: &[Vec<QueryFailure>]) -> Option<QueryFailure> {
-    match plan {
-        IndexedPlan::Leaf { shard, query } => {
-            failures[*shard].iter().find(|f| f.query == *query).copied()
-        }
-        IndexedPlan::Merge { parts, .. } => parts.iter().find_map(|p| plan_failure(p, failures)),
-    }
-}
-
-/// Merges per-shard partial vectors according to the plan.
-fn eval_indexed(plan: &IndexedPlan, shard_results: &[Vec<BitVec>]) -> BitVec {
-    match plan {
-        IndexedPlan::Leaf { shard, query } => shard_results[*shard][*query].clone(),
-        IndexedPlan::Merge { op, parts } => {
-            let mut acc = eval_indexed(&parts[0], shard_results);
-            for part in &parts[1..] {
-                let rhs = eval_indexed(part, shard_results);
-                acc = match op {
-                    MergeOp::And => acc.and(&rhs),
-                    MergeOp::Or => acc.or(&rhs),
-                    MergeOp::Xor => acc.xor(&rhs),
-                };
-            }
-            acc
         }
     }
 }

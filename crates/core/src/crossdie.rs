@@ -8,10 +8,10 @@
 //! planner's [`PlanError::PlaneMismatch`] used to be a hard error. This
 //! module turns that error into a *planned* cross-die execution:
 //!
-//! * the normalized expression is partitioned by plane — children of a
-//!   top-level AND/OR that share a plane compile **together** (keeping
-//!   every intra-plane MWS fusion the planner can find), children that
-//!   themselves span planes recurse;
+//! * [`partition`] splits the normalized expression by locality —
+//!   children of an AND/OR that share a home compile **together**
+//!   (keeping every intra-plane MWS fusion the planner can find),
+//!   children that themselves span homes recurse;
 //! * each single-plane piece becomes a [`Leaf`] holding an ordinary
 //!   [`MwsProgram`] for that plane's chip;
 //! * the controller combines the partial result pages per the
@@ -24,6 +24,9 @@
 //! on. The splitter is compiler-agnostic: the Flash-Cosmos planner and
 //! the ParaBit baseline compiler both plug in as the leaf compiler, so
 //! the baseline stops silently executing cross-die operands on one chip.
+//! It is locality-agnostic too: the cluster router
+//! ([`crate::cluster::FcCluster`]) partitions by home shard with the
+//! same [`partition`] and merges with the same [`eval_merge`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,7 +34,7 @@ use fc_bits::BitVec;
 use fc_ssd::topology::PlaneId;
 
 use crate::expr::{Nnf, OperandId};
-use crate::planner::{MwsProgram, PlanError};
+use crate::planner::{expand_thresholds, MwsProgram, PlanError};
 
 /// How the controller combines partial result pages of a split query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,24 +57,27 @@ pub struct Leaf {
     pub program: MwsProgram,
 }
 
-/// A compiled execution plan for one expression stripe: either a single
-/// chip program (all operands co-planar) or a controller merge over
-/// sub-plans.
+/// A partitioned expression: either one leaf (every operand shares a
+/// home) or a controller merge over sub-plans.
 #[derive(Debug, Clone)]
-pub enum ExecPlan {
-    /// Runs entirely on one plane.
-    Chip(Leaf),
+pub enum Plan<L> {
+    /// Runs entirely at one home.
+    Leaf(L),
     /// Controller-side combination of concurrently executable parts.
     Merge {
         /// Combining operator.
         op: MergeOp,
-        /// Sub-plans (each a chip program or a nested merge).
-        parts: Vec<ExecPlan>,
+        /// Sub-plans (each a leaf or a nested merge).
+        parts: Vec<Plan<L>>,
     },
 }
 
+/// A compiled execution plan for one expression stripe: chip programs
+/// joined by controller merges.
+pub type ExecPlan = Plan<Leaf>;
+
 /// Merge recipe over a flattened leaf list: leaves are referenced by
-/// their index in the [`ExecPlan::flatten`] output (pre-order).
+/// their index in the [`Plan::flatten`] output (pre-order).
 ///
 /// The plan lint's `FC002` (see `LINTS.md`) holds every spanning
 /// stripe to exactly one recipe consuming exactly its leaves, once
@@ -84,13 +90,39 @@ pub enum MergeTree {
     Node(MergeOp, Vec<MergeTree>),
 }
 
+impl<L> Plan<L> {
+    /// Decomposes the plan into its leaves (appended to `leaves` in
+    /// pre-order) and the merge recipe referencing them by index.
+    pub fn flatten(self, leaves: &mut Vec<L>) -> MergeTree {
+        match self {
+            Plan::Leaf(leaf) => {
+                leaves.push(leaf);
+                MergeTree::Leaf(leaves.len() - 1)
+            }
+            Plan::Merge { op, parts } => {
+                MergeTree::Node(op, parts.into_iter().map(|p| p.flatten(leaves)).collect())
+            }
+        }
+    }
+
+    /// Whether an XOR merge occurs anywhere in the plan.
+    fn has_xor_merge(&self) -> bool {
+        match self {
+            Plan::Leaf(_) => false,
+            Plan::Merge { op, parts } => {
+                *op == MergeOp::Xor || parts.iter().any(Plan::has_xor_merge)
+            }
+        }
+    }
+}
+
 impl ExecPlan {
     /// Total sensing operations across all leaves — the paper's headline
     /// cost metric, unchanged by splitting.
     pub fn sense_count(&self) -> usize {
         match self {
-            ExecPlan::Chip(leaf) => leaf.program.sense_count(),
-            ExecPlan::Merge { parts, .. } => parts.iter().map(ExecPlan::sense_count).sum(),
+            Plan::Leaf(leaf) => leaf.program.sense_count(),
+            Plan::Merge { parts, .. } => parts.iter().map(ExecPlan::sense_count).sum(),
         }
     }
 
@@ -103,27 +135,13 @@ impl ExecPlan {
 
     fn collect_dies(&self, dies: &mut BTreeSet<fc_ssd::topology::DieId>) {
         match self {
-            ExecPlan::Chip(leaf) => {
+            Plan::Leaf(leaf) => {
                 dies.insert(leaf.plane.die);
             }
-            ExecPlan::Merge { parts, .. } => {
+            Plan::Merge { parts, .. } => {
                 for p in parts {
                     p.collect_dies(dies);
                 }
-            }
-        }
-    }
-
-    /// Decomposes the plan into its leaves (appended to `leaves` in
-    /// pre-order) and the merge recipe referencing them by index.
-    pub fn flatten(self, leaves: &mut Vec<Leaf>) -> MergeTree {
-        match self {
-            ExecPlan::Chip(leaf) => {
-                leaves.push(leaf);
-                MergeTree::Leaf(leaves.len() - 1)
-            }
-            ExecPlan::Merge { op, parts } => {
-                MergeTree::Node(op, parts.into_iter().map(|p| p.flatten(leaves)).collect())
             }
         }
     }
@@ -135,7 +153,7 @@ impl ExecPlan {
 /// # Panics
 ///
 /// Panics if a referenced page is missing or already consumed — the
-/// recipe and the page list must come from the same [`ExecPlan`].
+/// recipe and the page list must come from the same [`Plan`].
 pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
     match tree {
         MergeTree::Leaf(i) => pages[*i].take().expect("each leaf page is consumed exactly once"),
@@ -154,6 +172,132 @@ pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
     }
 }
 
+/// Partitions `nnf` by locality into single-home leaves joined by
+/// controller merges. `home_of` resolves an operand to its home (a plane
+/// inside a device, a shard in a cluster); `leaf` turns a sub-expression
+/// whose operands all share one home into a leaf.
+///
+/// * An expression with one home is one leaf.
+/// * An AND/OR that spans homes buckets its single-home children by
+///   home, one leaf per bucket (so co-resident children still fuse), and
+///   recurses into its spanning children. Parts are ordered buckets
+///   first, in key order, then spanning children in input order.
+/// * A spanning XOR splits into its two sides.
+/// * A spanning threshold expands to its exact OR-of-ANDs first: no
+///   Boolean merge carries the partial *counts* a vote needs.
+///
+/// # Errors
+///
+/// Whatever `home_of` or `leaf` report, [`PlanError::Unplannable`] for
+/// an expression without operands, and the expansion limit of a
+/// spanning threshold.
+pub fn partition<K, L, E, H, F>(nnf: &Nnf, home_of: &H, leaf: &mut F) -> Result<Plan<L>, E>
+where
+    K: Ord + Copy,
+    E: From<PlanError>,
+    H: Fn(OperandId) -> Result<K, E>,
+    F: FnMut(K, &Nnf) -> Result<L, E>,
+{
+    match home(nnf, home_of)? {
+        Home::One(key) => Ok(Plan::Leaf(leaf(key, nnf)?)),
+        Home::Many => split(nnf, home_of, leaf),
+        Home::None => {
+            Err(PlanError::Unplannable("an expression needs at least one operand".into()).into())
+        }
+    }
+}
+
+/// Where an expression's operands live.
+enum Home<K> {
+    /// No operands.
+    None,
+    /// Every operand shares this home.
+    One(K),
+    /// At least two homes.
+    Many,
+}
+
+/// Resolves the home of `nnf`, stopping at the second distinct key.
+fn home<K, E, H>(nnf: &Nnf, home_of: &H) -> Result<Home<K>, E>
+where
+    K: Ord + Copy,
+    H: Fn(OperandId) -> Result<K, E>,
+{
+    fn walk<K: Ord + Copy, E>(
+        nnf: &Nnf,
+        home_of: &impl Fn(OperandId) -> Result<K, E>,
+        home: &mut Home<K>,
+    ) -> Result<(), E> {
+        match nnf {
+            _ if matches!(home, Home::Many) => {}
+            Nnf::Literal(l) => {
+                let key = home_of(l.id)?;
+                *home = match *home {
+                    Home::One(k) if k != key => Home::Many,
+                    _ => Home::One(key),
+                };
+            }
+            Nnf::And(cs) | Nnf::Or(cs) | Nnf::Threshold { children: cs, .. } => {
+                for c in cs {
+                    walk(c, home_of, home)?;
+                }
+            }
+            Nnf::Xor(a, b) => {
+                walk(a, home_of, home)?;
+                walk(b, home_of, home)?;
+            }
+        }
+        Ok(())
+    }
+    let mut out = Home::None;
+    walk(nnf, home_of, &mut out)?;
+    Ok(out)
+}
+
+/// Splits an expression that spans homes (see [`partition`]).
+fn split<K, L, E, H, F>(nnf: &Nnf, home_of: &H, leaf: &mut F) -> Result<Plan<L>, E>
+where
+    K: Ord + Copy,
+    E: From<PlanError>,
+    H: Fn(OperandId) -> Result<K, E>,
+    F: FnMut(K, &Nnf) -> Result<L, E>,
+{
+    let (op, children) = match nnf {
+        Nnf::And(cs) => (MergeOp::And, cs),
+        Nnf::Or(cs) => (MergeOp::Or, cs),
+        Nnf::Xor(a, b) => {
+            let parts = vec![partition(a, home_of, leaf)?, partition(b, home_of, leaf)?];
+            return Ok(Plan::Merge { op: MergeOp::Xor, parts });
+        }
+        Nnf::Threshold { .. } => return partition(&expand_thresholds(nnf)?, home_of, leaf),
+        Nnf::Literal(_) => unreachable!("a literal has exactly one home"),
+    };
+    let mut buckets: BTreeMap<K, Vec<&Nnf>> = BTreeMap::new();
+    let mut spanning = Vec::new();
+    for child in children {
+        match home(child, home_of)? {
+            Home::One(key) => buckets.entry(key).or_default().push(child),
+            _ => spanning.push(child),
+        }
+    }
+    let mut parts = Vec::with_capacity(buckets.len() + spanning.len());
+    for (key, group) in buckets {
+        let joined;
+        let sub = if let [one] = group[..] {
+            one
+        } else {
+            let cs = group.into_iter().cloned().collect();
+            joined = if op == MergeOp::And { Nnf::And(cs) } else { Nnf::Or(cs) };
+            &joined
+        };
+        parts.push(Plan::Leaf(leaf(key, sub)?));
+    }
+    for child in spanning {
+        parts.push(partition(child, home_of, leaf)?);
+    }
+    Ok(Plan::Merge { op, parts })
+}
+
 /// Compiles `nnf` into an [`ExecPlan`], splitting across planes where the
 /// operand placement requires it. `plane_of` resolves every operand to
 /// the SSD-level plane its stripe page lives on (`None` for unplaced
@@ -163,9 +307,12 @@ pub fn eval_merge(tree: &MergeTree, pages: &mut [Option<BitVec>]) -> BitVec {
 /// # Errors
 ///
 /// [`PlanError::NoPlacement`] for operands `plane_of` cannot resolve, and
-/// whatever `leaf_compile` reports for a piece it cannot lower. XOR below
-/// the top level cannot span planes (mirroring the single-plane planner,
-/// which rejects nested XOR outright).
+/// whatever `leaf_compile` reports for a piece it cannot lower. The chip
+/// XOR logic combines two latches once, so a spanning XOR must be the
+/// root with literal sides ([`PlanError::UnsupportedXor`] otherwise),
+/// and XOR below the root cannot span planes ([`PlanError::Unplannable`],
+/// mirroring the single-plane planner, which rejects nested XOR
+/// outright).
 pub fn compile_spanning<P, F>(
     nnf: &Nnf,
     plane_of: &P,
@@ -175,125 +322,23 @@ where
     P: Fn(OperandId) -> Option<PlaneId>,
     F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
 {
-    build(nnf, plane_of, leaf_compile, true)
-}
-
-/// Collects the distinct planes an expression's operands live on into
-/// `span` (a small vector with linear dedup — expressions touch a
-/// handful of planes, and this path runs once per plan node, so it
-/// stays allocation-light on the hot single-plane case).
-fn collect_span<P>(nnf: &Nnf, plane_of: &P, span: &mut Vec<PlaneId>) -> Result<(), PlanError>
-where
-    P: Fn(OperandId) -> Option<PlaneId>,
-{
-    match nnf {
-        Nnf::Literal(l) => {
-            let p = plane_of(l.id).ok_or(PlanError::NoPlacement(l.id))?;
-            if !span.contains(&p) {
-                span.push(p);
-            }
-        }
-        Nnf::And(cs) | Nnf::Or(cs) | Nnf::Threshold { children: cs, .. } => {
-            for c in cs {
-                collect_span(c, plane_of, span)?;
-            }
-        }
-        Nnf::Xor(a, b) => {
-            collect_span(a, plane_of, span)?;
-            collect_span(b, plane_of, span)?;
-        }
-    }
-    Ok(())
-}
-
-fn build<P, F>(
-    nnf: &Nnf,
-    plane_of: &P,
-    leaf_compile: &mut F,
-    top: bool,
-) -> Result<ExecPlan, PlanError>
-where
-    P: Fn(OperandId) -> Option<PlaneId>,
-    F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
-{
-    let mut span = Vec::with_capacity(2);
-    collect_span(nnf, plane_of, &mut span)?;
-    if span.len() <= 1 {
-        let plane = span
-            .first()
-            .copied()
-            .unwrap_or(PlaneId { die: fc_ssd::topology::DieId::new(0, 0), plane: 0 });
-        return Ok(ExecPlan::Chip(Leaf { plane, program: leaf_compile(nnf)? }));
-    }
-    match nnf {
-        Nnf::Literal(_) => unreachable!("a literal lives on exactly one plane"),
-        Nnf::And(cs) => build_nary(cs, MergeOp::And, plane_of, leaf_compile),
-        Nnf::Or(cs) => build_nary(cs, MergeOp::Or, plane_of, leaf_compile),
-        Nnf::Xor(a, b) => {
-            if !top {
-                return Err(PlanError::Unplannable(
-                    "XOR below the top level cannot span planes".to_string(),
-                ));
-            }
-            // The chip XOR logic combines two latches once, so only
-            // literal sides are expressible — same rule as the planner.
+    let plan =
+        partition(nnf, &|id| plane_of(id).ok_or(PlanError::NoPlacement(id)), &mut |plane, sub| {
+            Ok(Leaf { plane, program: leaf_compile(sub)? })
+        })?;
+    if let Plan::Merge { parts, .. } = &plan {
+        if let Nnf::Xor(a, b) = nnf {
             if !matches!((a.as_ref(), b.as_ref()), (Nnf::Literal(_), Nnf::Literal(_))) {
                 return Err(PlanError::UnsupportedXor);
             }
-            let parts = vec![
-                build(a, plane_of, leaf_compile, false)?,
-                build(b, plane_of, leaf_compile, false)?,
-            ];
-            Ok(ExecPlan::Merge { op: MergeOp::Xor, parts })
         }
-        Nnf::Threshold { .. } => {
-            // A vote spanning planes cannot be combined with the Boolean
-            // merge ops (it would need partial *counts*), so fall back to
-            // the exact OR-of-combinations expansion and split that —
-            // more senses, never a silently wrong page.
-            let expanded = crate::planner::expand_thresholds(nnf)?;
-            build(&expanded, plane_of, leaf_compile, top)
+        if parts.iter().any(Plan::has_xor_merge) {
+            return Err(PlanError::Unplannable(
+                "XOR below the top level cannot span planes".to_string(),
+            ));
         }
     }
-}
-
-/// Splits an n-ary AND/OR: children sharing a plane compile together (so
-/// intra-plane MWS fusion survives), spanning children recurse.
-fn build_nary<P, F>(
-    children: &[Nnf],
-    op: MergeOp,
-    plane_of: &P,
-    leaf_compile: &mut F,
-) -> Result<ExecPlan, PlanError>
-where
-    P: Fn(OperandId) -> Option<PlaneId>,
-    F: FnMut(&Nnf) -> Result<MwsProgram, PlanError>,
-{
-    let mut buckets: BTreeMap<PlaneId, Vec<Nnf>> = BTreeMap::new();
-    let mut parts = Vec::new();
-    let mut span = Vec::with_capacity(2);
-    for child in children {
-        span.clear();
-        collect_span(child, plane_of, &mut span)?;
-        if let [plane] = span[..] {
-            buckets.entry(plane).or_default().push(child.clone());
-        } else {
-            parts.push(build(child, plane_of, leaf_compile, false)?);
-        }
-    }
-    for (plane, mut bucket) in buckets {
-        let sub = if bucket.len() == 1 {
-            bucket.pop().expect("non-empty bucket")
-        } else {
-            match op {
-                MergeOp::And => Nnf::And(bucket),
-                MergeOp::Or => Nnf::Or(bucket),
-                MergeOp::Xor => unreachable!("XOR is not n-ary"),
-            }
-        };
-        parts.push(ExecPlan::Chip(Leaf { plane, program: leaf_compile(&sub)? }));
-    }
-    Ok(ExecPlan::Merge { op, parts })
+    Ok(plan)
 }
 
 #[cfg(test)]
@@ -329,7 +374,7 @@ mod tests {
             planner::compile(sub, &map, caps())
         })
         .unwrap();
-        assert!(matches!(plan, ExecPlan::Chip(_)));
+        assert!(matches!(plan, ExecPlan::Leaf(_)));
         assert_eq!(plan.sense_count(), 1, "Eq. 1 fusion survives");
         assert_eq!(plan.die_count(), 1);
     }
@@ -405,5 +450,31 @@ mod tests {
         })
         .unwrap_err();
         assert_eq!(err, PlanError::NoPlacement(1));
+    }
+
+    #[test]
+    fn spanning_xor_with_compound_side_is_unsupported() {
+        let (map, planes) = layout(4);
+        let nnf = Expr::xor(Expr::and_vars([0, 1]), Expr::var(2)).to_nnf();
+        let err = compile_spanning(&nnf, &|id| planes.get(&id).copied(), &mut |sub| {
+            planner::compile(sub, &map, caps())
+        })
+        .unwrap_err();
+        assert_eq!(err, PlanError::UnsupportedXor);
+    }
+
+    #[test]
+    fn partition_emits_buckets_in_key_order_then_spanning_children() {
+        // Homes by parity: 5 and 3 share key 1, 4 sits alone on key 0,
+        // and OR(1, 2) spans both keys.
+        let nnf = Expr::and(vec![Expr::var(5), Expr::or_vars([1, 2]), Expr::var(3), Expr::var(4)])
+            .to_nnf();
+        let plan = partition(&nnf, &|id| Ok::<_, PlanError>(id % 2), &mut |key, sub| {
+            Ok((key, sub.operands().into_iter().collect::<Vec<_>>()))
+        })
+        .unwrap();
+        let mut leaves = Vec::new();
+        plan.flatten(&mut leaves);
+        assert_eq!(leaves, vec![(0, vec![4]), (1, vec![3, 5]), (0, vec![2]), (1, vec![1])]);
     }
 }

@@ -58,7 +58,9 @@
 //! * [`crossdie`] — cross-die execution plans: a query whose operands
 //!   span planes splits into per-plane programs merged by the
 //!   controller, so die-aware placement (see [`device`]) never turns
-//!   into a `PlaneMismatch` error.
+//!   into a `PlaneMismatch` error. Its locality-generic partitioner and
+//!   merge evaluator also split and merge cross-shard queries in
+//!   [`cluster`].
 //! * [`engines`] — the four evaluated platforms (OSP/ISP/PB/FC) as
 //!   pipeline-model job builders (Figs. 17/18), including batched
 //!   multi-workload evaluation.

@@ -12,6 +12,7 @@
 //! substrates accelerate.
 
 use crate::expr::{Expr, OperandId};
+use crate::planner::{binomial, index_combinations, MAX_THRESHOLD_COMBOS};
 
 /// Bitwise 2-to-1 multiplexer: `sel ? a : b`, position-wise
 /// (`(sel & a) | (!sel & b)`).
@@ -66,9 +67,10 @@ pub fn containment_violations(a: OperandId, b: OperandId) -> Expr {
 }
 
 /// At-least-`k`-of-`n` threshold over small `n` (union of all size-`k`
-/// AND combinations). Practical for the small fan-ins used by
-/// hyper-dimensional-computing style voting; the combination count grows
-/// as `C(n, k)`.
+/// AND combinations, in the same lexicographic order and under the same
+/// term cap as the planner's threshold expansion). Practical for the
+/// small fan-ins used by hyper-dimensional-computing style voting; the
+/// combination count grows as `C(n, k)`.
 ///
 /// # Panics
 ///
@@ -76,26 +78,17 @@ pub fn containment_violations(a: OperandId, b: OperandId) -> Expr {
 /// exceed 10,000 terms.
 pub fn at_least_k_of(ids: &[OperandId], k: usize) -> Expr {
     assert!(k >= 1 && k <= ids.len(), "threshold k={k} out of range for n={}", ids.len());
-    let combos = combinations(ids, k);
-    assert!(combos.len() <= 10_000, "C({}, {k}) too large to synthesize", ids.len());
-    Expr::or(combos.into_iter().map(Expr::and_vars).collect())
-}
-
-fn combinations(ids: &[OperandId], k: usize) -> Vec<Vec<OperandId>> {
-    if k == 0 {
-        return vec![Vec::new()];
-    }
-    if ids.len() < k {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for rest in combinations(&ids[1..], k - 1) {
-        let mut c = vec![ids[0]];
-        c.extend(rest);
-        out.push(c);
-    }
-    out.extend(combinations(&ids[1..], k));
-    out
+    assert!(
+        binomial(ids.len(), k) <= MAX_THRESHOLD_COMBOS,
+        "C({}, {k}) too large to synthesize",
+        ids.len()
+    );
+    Expr::or(
+        index_combinations(ids.len(), k)
+            .into_iter()
+            .map(|combo| Expr::and_vars(combo.into_iter().map(|i| ids[i])))
+            .collect(),
+    )
 }
 
 #[cfg(test)]

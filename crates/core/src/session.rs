@@ -77,7 +77,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use fc_bits::BitVec;
 use fc_ssd::pipeline::{overlap_report, DieQueues};
 
-use crate::batch::{BatchResults, CompiledBatch, QueryBatch};
+use crate::batch::{merge_share, BatchResults, Bottleneck, CompiledBatch, QueryBatch};
 use crate::device::{FcError, FlashCosmosDevice};
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::{
@@ -402,26 +402,14 @@ impl DrainStats {
     /// Which resource bounded this drain — the busiest die, the busiest
     /// channel bus, or the controller merge (see
     /// [`crate::batch::Bottleneck`]).
-    pub fn bottleneck(&self) -> crate::batch::Bottleneck {
-        use crate::batch::Bottleneck;
-        if self.merge_us > self.busiest_die_us && self.merge_us > self.busiest_channel_us {
-            Bottleneck::Merge
-        } else if self.busiest_channel_us > self.busiest_die_us {
-            Bottleneck::Channel
-        } else {
-            Bottleneck::Die
-        }
+    pub fn bottleneck(&self) -> Bottleneck {
+        Bottleneck::of(self.busiest_die_us, self.busiest_channel_us, self.merge_us)
     }
 
     /// The controller merge's share of the combined critical path plus
     /// merge time, in `[0, 1]` — 0 when the drain was pure flash work.
     pub fn merge_share(&self) -> f64 {
-        let total = self.combined_critical_path_us + self.merge_us;
-        if total <= 0.0 {
-            0.0
-        } else {
-            self.merge_us / total
-        }
+        merge_share(self.combined_critical_path_us, self.merge_us)
     }
 }
 

@@ -17,8 +17,6 @@
 //!   ECC-encoded data.
 //! * [`ftl`] — page-mapped flash translation layer with the placement
 //!   metadata Flash-Cosmos needs (program scheme, inverse-stored flag).
-//! * [`isp`] — the in-storage-processing accelerator baseline (per-channel
-//!   bitwise logic + 256 KiB SRAM, 93 pJ / 64 B op; Table 1).
 //! * [`energy`] — per-component energy metering.
 //! * [`pipeline`] — the execution-pipeline model that turns per-die job
 //!   lists into end-to-end makespan + energy (regenerates Fig. 7 and
@@ -34,7 +32,6 @@ pub mod device;
 pub mod ecc;
 pub mod energy;
 pub mod ftl;
-pub mod isp;
 pub mod parity;
 pub mod pipeline;
 pub mod sim;
