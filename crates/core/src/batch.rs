@@ -904,6 +904,7 @@ impl DeviceCore {
         for (qi, out) in outs.iter_mut().enumerate() {
             out.reset(compiled.q_pages[qi] * page_bits, false);
         }
+        let cache_enabled = self.session.cache().enabled();
         for (ui, unit) in compiled.units.iter().enumerate() {
             if unit_failed[ui].is_some() {
                 continue;
@@ -918,11 +919,11 @@ impl DeviceCore {
             for &qi in &unit.consumers {
                 outs[qi].or_assign(result);
             }
-            if let Some(senses) = fresh_senses {
-                let mut cache = self.session.cache();
-                if cache.enabled() {
-                    cache.insert(unit.key.clone(), result.clone(), senses);
-                }
+            if let Some(senses) = fresh_senses.filter(|_| cache_enabled) {
+                // Copy outside the cache mutex: concurrent compiles
+                // look up under it.
+                let (key, result) = (unit.key.clone(), result.clone());
+                self.session.cache().insert(key, result, senses);
             }
         }
         for (qi, out) in outs.iter_mut().enumerate() {

@@ -129,6 +129,7 @@ pub mod cluster;
 pub mod crossdie;
 pub mod device;
 pub mod engines;
+mod eviction;
 pub mod expr;
 pub mod maintenance;
 pub mod ops;

@@ -82,8 +82,10 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::device::StoreHints;
+use crate::eviction::EvictionIndex;
 use crate::expr::OperandId;
 
 /// Read-only placement facts a [`PlacementPolicy`] decides from,
@@ -311,7 +313,10 @@ pub struct CacheEntryInfo {
 /// [`CacheAdmission::admit`] agrees. Select a policy with
 /// [`set_cache_admission`](crate::device::FlashCosmosDevice::set_cache_admission).
 pub trait CacheAdmission: std::fmt::Debug + Send + Sync {
-    /// The entry's retention value; higher survives longer.
+    /// The entry's retention value; higher survives longer. The cache
+    /// re-scores an entry only when its info changes (a hit, a re-insert,
+    /// the hit-count decay) or the policy is replaced, so the score must
+    /// depend on `entry` alone.
     fn score(&self, entry: &CacheEntryInfo) -> f64;
 
     /// Whether `fresh` may displace `victim` (the lowest-scored resident
@@ -373,11 +378,24 @@ pub struct AffinityEntry {
 
 /// Records which operand sets the batch compiler fuses and what they
 /// cost — the observation stream the regrouping planner consumes.
-/// Bounded: beyond `capacity` distinct sets, the coldest set is dropped.
+/// Bounded: beyond `capacity` distinct sets, the coldest set (lowest
+/// `fused`, the oldest-inserted on ties) is dropped. Sets are ranked in
+/// an ordered `(fused, seq)` index, so finding the coldest costs
+/// O(log n), not a scan.
 #[derive(Debug)]
 pub struct AffinityTracker {
-    entries: HashMap<Vec<OperandId>, AffinityEntry>,
+    entries: HashMap<Arc<[OperandId]>, Tracked>,
+    order: EvictionIndex<u64, Arc<[OperandId]>>,
+    next_seq: u64,
     capacity: usize,
+}
+
+/// One tracked set: its facts and its insertion sequence (the tie-break
+/// in the eviction order).
+#[derive(Debug)]
+struct Tracked {
+    stats: AffinityEntry,
+    seq: u64,
 }
 
 /// Default bound on distinct tracked operand sets.
@@ -385,11 +403,16 @@ const DEFAULT_AFFINITY_CAPACITY: usize = 1024;
 
 impl Default for AffinityTracker {
     fn default() -> Self {
-        Self { entries: HashMap::new(), capacity: DEFAULT_AFFINITY_CAPACITY }
+        Self::with_capacity(DEFAULT_AFFINITY_CAPACITY)
     }
 }
 
 impl AffinityTracker {
+    /// A tracker bounded to `capacity` distinct sets.
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        Self { entries: HashMap::new(), order: EvictionIndex::default(), next_seq: 0, capacity }
+    }
+
     /// Records one compiled unit over `ids` (sorted, deduplicated; sets
     /// of fewer than two operands carry no regrouping signal and are
     /// ignored). `weight` is the number of queries the unit served.
@@ -405,33 +428,38 @@ impl AffinityTracker {
             return;
         }
         debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must be sorted and deduped");
-        // Hot path: an already-tracked set updates in place, allocation
-        // free (this runs once per compiled unit on every submit).
-        if let Some(entry) = self.entries.get_mut(ids) {
-            entry.fused += weight;
-            entry.cache_hits += if cached { weight } else { 0 };
-            entry.senses = senses;
-            entry.pages = pages;
+        // Hot path: an already-tracked set updates in place and moves
+        // its shared key handle to its new rank, never copying the ids;
+        // only a B-tree node split in the index allocates (this runs
+        // once per compiled unit on every submit).
+        if let Some(t) = self.entries.get_mut(ids) {
+            let e = &mut t.stats;
+            self.order.rerank(t.seq, e.fused, e.fused + weight);
+            e.fused += weight;
+            e.cache_hits += if cached { weight } else { 0 };
+            e.senses = senses;
+            e.pages = pages;
             return;
         }
         if self.entries.len() >= self.capacity {
             // Bound the tracker: drop the coldest set (never the one
             // being recorded — it is demonstrably live).
-            if let Some(coldest) =
-                self.entries.iter().min_by_key(|(_, e)| e.fused).map(|(k, _)| k.clone())
-            {
+            if let Some(coldest) = self.order.pop_first() {
                 self.entries.remove(&coldest);
             }
         }
-        self.entries.insert(
-            ids.to_vec(),
-            AffinityEntry {
-                fused: weight,
-                cache_hits: if cached { weight } else { 0 },
-                senses,
-                pages,
-            },
-        );
+        let key: Arc<[OperandId]> = ids.into();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.order.insert(weight, seq, Arc::clone(&key));
+        let stats = AffinityEntry {
+            fused: weight,
+            cache_hits: if cached { weight } else { 0 },
+            senses,
+            pages,
+        };
+        self.entries.insert(key, Tracked { stats, seq });
+        debug_assert_eq!(self.order.len(), self.entries.len());
     }
 
     /// Distinct operand sets currently tracked.
@@ -446,7 +474,7 @@ impl AffinityTracker {
 
     /// The tracked facts for one operand set (sorted ids).
     pub fn entry(&self, ids: &[OperandId]) -> Option<AffinityEntry> {
-        self.entries.get(ids).copied()
+        self.entries.get(ids).map(|t| t.stats)
     }
 
     /// Consumes a set's heat (fuse and cache-hit counts; the cost facts
@@ -455,16 +483,20 @@ impl AffinityTracker {
     /// this, two overlapping hot sets would steal their shared operand
     /// back and forth on every pass off the same stale counts.
     pub(crate) fn consume(&mut self, ids: &[OperandId]) {
-        if let Some(entry) = self.entries.get_mut(ids) {
-            entry.fused = 0;
-            entry.cache_hits = 0;
+        if let Some(t) = self.entries.get_mut(ids) {
+            self.order.rerank(t.seq, t.stats.fused, 0);
+            t.stats.fused = 0;
+            t.stats.cache_hits = 0;
         }
     }
 
     /// All tracked sets as regrouping candidates, hottest first.
     pub fn candidates(&self) -> Vec<HotSet> {
-        let mut out: Vec<HotSet> =
-            self.entries.iter().map(|(ids, e)| HotSet { ids: ids.clone(), stats: *e }).collect();
+        let mut out: Vec<HotSet> = self
+            .entries
+            .iter()
+            .map(|(ids, t)| HotSet { ids: ids.to_vec(), stats: t.stats })
+            .collect();
         out.sort_by(|a, b| {
             (b.stats.fused, &a.ids).cmp(&(a.stats.fused, &b.ids)) // hottest first, ids tiebreak
         });
@@ -474,6 +506,7 @@ impl AffinityTracker {
     /// Forgets everything (e.g. after a workload change).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
     }
 }
 
@@ -1001,7 +1034,7 @@ mod tests {
 
     #[test]
     fn affinity_tracker_records_and_bounds() {
-        let mut t = AffinityTracker { entries: HashMap::new(), capacity: 2 };
+        let mut t = AffinityTracker::with_capacity(2);
         t.record(&[1, 2], 4, 1, 1, false);
         t.record(&[1, 2], 4, 1, 2, true);
         t.record(&[3, 4], 2, 1, 1, false);
@@ -1023,6 +1056,29 @@ mod tests {
         assert_eq!(c[1].senses_per_stripe(), 4.0, "8 senses over 2 stripes");
         t.clear();
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn affinity_ties_drop_the_oldest_set_and_consume_marks_the_next_victim() {
+        // Each tracker hashes with its own random seed, so a choice left
+        // to map iteration order would differ between these runs.
+        for _ in 0..16 {
+            let mut t = AffinityTracker::with_capacity(2);
+            t.record(&[1, 2], 1, 1, 1, false);
+            t.record(&[3, 4], 1, 1, 1, false);
+            // [1,2] and [3,4] tie at fused 1: the older [1,2] goes.
+            t.record(&[5, 6], 1, 1, 1, false);
+            assert!(t.entry(&[1, 2]).is_none());
+            assert!(t.entry(&[3, 4]).is_some());
+            // [5,6] is now hotter and younger than [3,4]; consuming its
+            // heat makes it the coldest, so it is the next one dropped.
+            t.record(&[5, 6], 1, 1, 3, false);
+            t.consume(&[5, 6]);
+            t.record(&[7, 8], 1, 1, 1, false);
+            assert!(t.entry(&[5, 6]).is_none());
+            assert_eq!(t.entry(&[3, 4]).map(|e| e.fused), Some(1));
+            assert_eq!(t.entry(&[7, 8]).map(|e| e.fused), Some(1));
+        }
     }
 
     #[test]

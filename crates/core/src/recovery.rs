@@ -1007,6 +1007,10 @@ impl DeviceCore {
     /// right now — the drain's read-locked phase asks this to decide if
     /// the write-locked background tail is worth taking at all.
     pub(crate) fn scrub_would_schedule(&self) -> bool {
+        // Only ECC pages are candidates; without any, skip the snapshot.
+        if !self.ssd.any_mapped_meta(|meta| meta.ecc) {
+            return false;
+        }
         let candidates = self.scrub_candidates();
         if candidates.is_empty() {
             return false;

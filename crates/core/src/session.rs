@@ -79,6 +79,7 @@ use fc_ssd::pipeline::{overlap_report, DieQueues};
 
 use crate::batch::{merge_share, BatchResults, Bottleneck, CompiledBatch, QueryBatch};
 use crate::device::{FcError, FlashCosmosDevice};
+use crate::eviction::EvictionIndex;
 use crate::expr::{Nnf, OperandId};
 use crate::maintenance::{
     AffinityTracker, CacheAdmission, CacheEntryInfo, CostAwareAdmission, MaintenanceStats,
@@ -105,6 +106,9 @@ pub(crate) struct CacheEntry {
     /// Insertion sequence (monotonic; ties in admission scores degrade to
     /// FIFO on it).
     seq: u64,
+    /// The policy score this entry is indexed under in
+    /// [`ResultCache::order`].
+    rank: Score,
 }
 
 impl CacheEntry {
@@ -116,7 +120,43 @@ impl CacheEntry {
             bits: self.result.len(),
         }
     }
+
+    /// Re-scores the entry after its info changed and moves it to its
+    /// new place in the eviction order.
+    fn rerank(&mut self, policy: &dyn CacheAdmission, order: &mut CacheOrder) {
+        let rank = Score(policy.score(&self.info()));
+        order.rerank(self.seq, self.rank, rank);
+        self.rank = rank;
+    }
 }
+
+/// An admission score, totally ordered by [`f64::total_cmp`] so it can
+/// key the eviction index.
+#[derive(Debug, Clone, Copy)]
+struct Score(f64);
+
+impl PartialEq for Score {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Score {}
+
+impl PartialOrd for Score {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Score {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// Resident keys ordered by `(score, seq)`: the first is the victim.
+type CacheOrder = EvictionIndex<Score, Arc<CacheKey>>;
 
 /// Observable cache counters (see [`Session::cache_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -142,8 +182,15 @@ pub struct CacheStats {
 /// admission). Invalidation is purely structural — stale keys can never
 /// match — so eviction is only a memory bound, never a correctness
 /// mechanism.
+///
+/// Every entry is ranked in an ordered `(score, seq)` index, so the
+/// victim is its first element and an insert or a hit costs O(log n).
+/// A hit or a same-key re-insert re-ranks its one entry; the decay
+/// halving and a policy change re-score every entry and rebuild the
+/// index.
 pub(crate) struct ResultCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    entries: HashMap<Arc<CacheKey>, CacheEntry>,
+    order: CacheOrder,
     capacity: usize,
     policy: Box<dyn CacheAdmission>,
     next_seq: u64,
@@ -165,6 +212,7 @@ impl Default for ResultCache {
     fn default() -> Self {
         Self {
             entries: HashMap::new(),
+            order: CacheOrder::default(),
             capacity: DEFAULT_CACHE_CAPACITY,
             policy: Box::new(CostAwareAdmission),
             next_seq: 0,
@@ -185,17 +233,20 @@ impl ResultCache {
     }
 
     pub(crate) fn lookup(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.hits += 1;
-                self.hits += 1;
-                Some(entry)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.hit(key, true)
+    }
+
+    /// Counts a hit on `key`'s entry and re-ranks it; a miss is counted
+    /// only when `count_miss` is set.
+    fn hit(&mut self, key: &CacheKey, count_miss: bool) -> Option<&CacheEntry> {
+        let Some(entry) = self.entries.get_mut(key) else {
+            self.misses += u64::from(count_miss);
+            return None;
+        };
+        entry.hits += 1;
+        self.hits += 1;
+        entry.rerank(&*self.policy, &mut self.order);
+        Some(entry)
     }
 
     /// New-key insert attempts between hit-count halvings: two cache
@@ -207,19 +258,32 @@ impl ResultCache {
 
     /// The resident entry with the lowest `(score, seq)` — the next
     /// eviction victim under the installed policy.
-    fn victim(&self) -> Option<(&CacheKey, CacheEntryInfo)> {
-        self.entries.iter().map(|(k, e)| (k, e.info())).min_by(|(_, a), (_, b)| {
-            self.policy.score(a).total_cmp(&self.policy.score(b)).then_with(|| a.seq.cmp(&b.seq))
-        })
+    fn victim(&self) -> Option<&CacheEntry> {
+        self.order.first().map(|key| &self.entries[&**key])
+    }
+
+    /// Evicts the victim.
+    fn evict_first(&mut self) {
+        let key = self.order.pop_first().expect("an entry to evict");
+        self.entries.remove(&*key);
+        self.evictions += 1;
     }
 
     /// Evicts down to `bound` entries via the policy's victim choice.
     fn evict_to(&mut self, bound: usize) {
         while self.entries.len() > bound {
-            let key = self.victim().map(|(k, _)| k.clone()).expect("non-empty while over bound");
-            self.entries.remove(&key);
-            self.evictions += 1;
+            self.evict_first();
         }
+    }
+
+    /// Re-scores every entry and rebuilds the eviction order, for when
+    /// every score may have changed at once (decay, a new policy).
+    fn reindex(&mut self) {
+        let policy = &*self.policy;
+        self.order.rebuild(self.entries.iter_mut().map(|(key, entry)| {
+            entry.rank = Score(policy.score(&entry.info()));
+            (entry.rank, entry.seq, Arc::clone(key))
+        }));
     }
 
     pub(crate) fn insert(&mut self, key: CacheKey, result: BitVec, senses: u64) {
@@ -228,9 +292,11 @@ impl ResultCache {
         }
         if let Some(existing) = self.entries.get_mut(&key) {
             // Same key re-inserted (e.g. capacity was toggled): refresh
-            // the payload, keep the entry's history.
+            // the payload, keep the entry's history. Its score changes
+            // with `senses`; no other entry's does.
             existing.result = result;
             existing.senses = senses;
+            existing.rerank(&*self.policy, &mut self.order);
             return;
         }
         // Frequency aging: halve every resident's hit count once per
@@ -243,46 +309,44 @@ impl ResultCache {
             for entry in self.entries.values_mut() {
                 entry.hits /= 2;
             }
+            self.reindex();
         }
         let fresh = CacheEntryInfo { hits: 0, senses, seq: self.next_seq, bits: result.len() };
         if self.entries.len() >= self.capacity {
-            let Some((victim_key, victim)) = self.victim().map(|(k, i)| (k.clone(), i)) else {
+            let Some(victim) = self.victim() else {
                 return; // capacity 0 handled above; len >= capacity >= 1
             };
-            if !self.policy.admit(&fresh, &victim) {
+            if !self.policy.admit(&fresh, &victim.info()) {
                 self.rejections += 1;
                 return;
             }
-            self.entries.remove(&victim_key);
-            self.evictions += 1;
+            self.evict_first();
         }
-        self.entries.insert(key, CacheEntry { result, senses, hits: 0, seq: self.next_seq });
+        let key = Arc::new(key);
+        let rank = Score(self.policy.score(&fresh));
+        self.order.insert(rank, fresh.seq, Arc::clone(&key));
+        self.entries.insert(key, CacheEntry { result, senses, hits: 0, seq: fresh.seq, rank });
         self.next_seq += 1;
+        debug_assert_eq!(self.order.len(), self.entries.len());
     }
 
     /// Like [`ResultCache::lookup`] but for re-checking a unit that
     /// already missed (and was counted) at compile time: a hit is
     /// counted, a still-miss is not double-counted.
     pub(crate) fn peek_hit(&mut self, key: &CacheKey) -> Option<&CacheEntry> {
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.hits += 1;
-                self.hits += 1;
-                Some(entry)
-            }
-            None => None,
-        }
+        self.hit(key, false)
     }
 
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
+        self.order.clear();
     }
 
     /// Resident keys, in no particular order (the device audit
     /// cross-checks every cached generation against the operand table —
     /// see `crate::audit`).
     pub(crate) fn keys(&self) -> impl Iterator<Item = &CacheKey> {
-        self.entries.keys()
+        self.entries.keys().map(|key| &**key)
     }
 
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
@@ -292,6 +356,7 @@ impl ResultCache {
 
     pub(crate) fn set_policy(&mut self, policy: Box<dyn CacheAdmission>) {
         self.policy = policy;
+        self.reindex();
     }
 
     fn stats(&self) -> CacheStats {
@@ -1018,10 +1083,13 @@ impl FlashCosmosDevice {
 mod tests {
     use super::*;
     use crate::device::StoreHints;
-    use crate::expr::Expr;
+    use crate::expr::{Expr, Literal};
+    use crate::maintenance::FifoAdmission;
     use fc_ssd::SsdConfig;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
 
     fn device() -> FlashCosmosDevice {
         FlashCosmosDevice::new(SsdConfig::tiny_test())
@@ -1131,5 +1199,162 @@ mod tests {
         let (third, s3) = dev.fc_read(&expr).unwrap();
         assert_eq!(first, third, "ESP keeps results exact under aging");
         assert!(s3.senses > 0, "epoch bump forced a fresh execution");
+    }
+
+    /// A scan-based reference cache: the bookkeeping of [`ResultCache`],
+    /// with the victim found by a linear `min_by((score, seq))` over
+    /// every resident entry. The indexed cache must match it step for
+    /// step.
+    struct ScanCache {
+        entries: HashMap<u64, CacheEntryInfo>,
+        capacity: usize,
+        policy: Box<dyn CacheAdmission>,
+        next_seq: u64,
+        attempts: u64,
+        stats: CacheStats,
+    }
+
+    impl ScanCache {
+        fn new() -> Self {
+            Self {
+                entries: HashMap::new(),
+                capacity: DEFAULT_CACHE_CAPACITY,
+                policy: Box::new(CostAwareAdmission),
+                next_seq: 0,
+                attempts: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn victim(&self) -> Option<(u64, CacheEntryInfo)> {
+            self.entries.iter().map(|(&k, &e)| (k, e)).min_by(|(_, a), (_, b)| {
+                self.policy
+                    .score(a)
+                    .total_cmp(&self.policy.score(b))
+                    .then_with(|| a.seq.cmp(&b.seq))
+            })
+        }
+
+        fn evict(&mut self, key: u64) {
+            self.entries.remove(&key);
+            self.stats.evictions += 1;
+        }
+
+        fn hit(&mut self, key: u64, count_miss: bool) -> bool {
+            let Some(entry) = self.entries.get_mut(&key) else {
+                self.stats.misses += u64::from(count_miss);
+                return false;
+            };
+            entry.hits += 1;
+            self.stats.hits += 1;
+            true
+        }
+
+        fn insert(&mut self, key: u64, senses: u64, bits: usize) {
+            if self.capacity == 0 {
+                return;
+            }
+            if let Some(entry) = self.entries.get_mut(&key) {
+                entry.senses = senses;
+                entry.bits = bits;
+                return;
+            }
+            self.attempts += 1;
+            if self.attempts.is_multiple_of((self.capacity as u64 * 2).max(8)) {
+                for entry in self.entries.values_mut() {
+                    entry.hits /= 2;
+                }
+            }
+            let fresh = CacheEntryInfo { hits: 0, senses, seq: self.next_seq, bits };
+            if self.entries.len() >= self.capacity {
+                let (key, victim) = self.victim().expect("full cache has a victim");
+                if !self.policy.admit(&fresh, &victim) {
+                    self.stats.rejections += 1;
+                    return;
+                }
+                self.evict(key);
+            }
+            self.entries.insert(key, fresh);
+            self.next_seq += 1;
+        }
+
+        fn set_capacity(&mut self, capacity: usize) {
+            self.capacity = capacity;
+            while self.entries.len() > capacity {
+                let (key, _) = self.victim().expect("over bound");
+                self.evict(key);
+            }
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats { entries: self.entries.len(), capacity: self.capacity, ..self.stats }
+        }
+    }
+
+    fn cache_key(id: u64) -> CacheKey {
+        (id, Nnf::Literal(Literal { id: 0, negated: false }), Vec::new())
+    }
+
+    fn admission(cost_aware: bool) -> Box<dyn CacheAdmission> {
+        if cost_aware {
+            Box::new(CostAwareAdmission)
+        } else {
+            Box::new(FifoAdmission)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn indexed_cache_matches_the_scan_reference(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cache = ResultCache::default();
+            let mut scan = ScanCache::new();
+            cache.set_capacity(4);
+            scan.set_capacity(4);
+            for step in 0..400 {
+                let id = rng.gen_range(0..16u64);
+                match rng.gen_range(0..100) {
+                    0..30 => {
+                        let hit = cache.lookup(&cache_key(id)).is_some();
+                        prop_assert_eq!(hit, scan.hit(id, true), "lookup at step {}", step);
+                    }
+                    30..40 => {
+                        let hit = cache.peek_hit(&cache_key(id)).is_some();
+                        prop_assert_eq!(hit, scan.hit(id, false), "peek_hit at step {}", step);
+                    }
+                    40..90 => {
+                        let senses = rng.gen_range(1..=6u64);
+                        let bits = rng.gen_range(1..=16usize);
+                        cache.insert(cache_key(id), BitVec::zeros(bits), senses);
+                        scan.insert(id, senses, bits);
+                    }
+                    90..92 => {
+                        cache.clear();
+                        scan.entries.clear();
+                    }
+                    92..96 => {
+                        let capacity = rng.gen_range(0..=8usize);
+                        cache.set_capacity(capacity);
+                        scan.set_capacity(capacity);
+                    }
+                    _ => {
+                        let cost_aware = rng.gen_bool(0.5);
+                        cache.set_policy(admission(cost_aware));
+                        scan.policy = admission(cost_aware);
+                    }
+                }
+                let resident: BTreeSet<u64> = cache.keys().map(|k| k.0).collect();
+                let expected: BTreeSet<u64> = scan.entries.keys().copied().collect();
+                prop_assert_eq!(resident, expected, "resident keys after step {}", step);
+                prop_assert_eq!(cache.stats(), scan.stats(), "stats after step {}", step);
+                let victim = cache.order.first().map(|k| k.0);
+                prop_assert_eq!(victim, scan.victim().map(|(k, _)| k), "victim after step {}", step);
+            }
+            // Capacity stays at most 8, so a decay window is at most 16
+            // new-key insert attempts.
+            prop_assert!(cache.attempts >= 3 * 16, "only {} insert attempts", cache.attempts);
+        }
     }
 }

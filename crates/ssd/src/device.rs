@@ -401,9 +401,20 @@ impl SsdDevice {
         (0..self.ftl_shards.len()).map(|s| self.ftl_shard(s).mapped_pages()).sum()
     }
 
+    /// Whether any mapped page's metadata satisfies `pred`. Walks shard
+    /// by shard, stops at the first match and allocates nothing — the
+    /// cheap probe for per-drain checks.
+    pub fn any_mapped_meta(&self, mut pred: impl FnMut(&PageMeta) -> bool) -> bool {
+        (0..self.ftl_shards.len())
+            .any(|s| self.ftl_shard(s).iter_mapped().any(|(_, _, m)| pred(&m)))
+    }
+
     /// A point-in-time copy of every mapping (shard by shard — the walk
     /// that scrubbing, grown-defect discovery, and the `fc_audit`
-    /// residency pass run over; not a hot path).
+    /// residency pass run over). It copies every mapping, and drain's
+    /// scrub probe runs it on every drain once any mapped page carries
+    /// ECC, so a caller that only needs a yes/no answer should use
+    /// [`Self::any_mapped_meta`].
     pub fn mapped_snapshot(&self) -> Vec<(u64, Ppa, PageMeta)> {
         let mut out = Vec::with_capacity(self.mapped_pages());
         for s in 0..self.ftl_shards.len() {
@@ -855,6 +866,20 @@ mod tests {
         let (die, addr) = dev.locate(20).unwrap();
         assert_eq!(dev.chip(die).page_raw(addr).unwrap(), &data.not());
         assert_eq!(dev.read(20).unwrap(), data);
+    }
+
+    #[test]
+    fn any_mapped_meta_agrees_with_the_snapshot() {
+        let dev = device();
+        let ecc = |dev: &SsdDevice| dev.mapped_snapshot().iter().any(|(_, _, m)| m.ecc);
+        assert!(!dev.any_mapped_meta(|_| true), "nothing mapped");
+        let fc = WriteOptions::flash_cosmos(crate::ftl::GroupKey::new(0, 0), None, false);
+        dev.write(20, &payload(&dev, false, 3), fc).unwrap();
+        assert!(!dev.any_mapped_meta(|m| m.ecc));
+        assert!(!ecc(&dev));
+        dev.write(10, &payload(&dev, true, 4), WriteOptions::conventional()).unwrap();
+        assert!(dev.any_mapped_meta(|m| m.ecc));
+        assert!(ecc(&dev));
     }
 
     #[test]
