@@ -371,7 +371,7 @@ impl DeviceCore {
             return Ok(BatchResults { results, stats: BatchStats::default(), failures: vec![] });
         }
         let compiled = self.compile_batch(batch)?;
-        let (stats, failures) = self.execute_compiled(&compiled, &mut results, None)?;
+        let (stats, failures, _) = self.execute_compiled(&compiled, &mut results)?;
         Ok(BatchResults { results, stats, failures })
     }
 
@@ -399,7 +399,7 @@ impl DeviceCore {
             return Ok(BatchStats::default());
         }
         let compiled = self.compile_batch(batch)?;
-        let (stats, failures) = self.execute_compiled(&compiled, outs, None)?;
+        let (stats, failures, _) = self.execute_compiled(&compiled, outs)?;
         if let Some(f) = failures.first() {
             return Err(FcError::QueryFailed {
                 query: f.query,
@@ -680,18 +680,52 @@ impl DeviceCore {
         }
     }
 
+    /// Runs one compiled leaf on its die's chip and reads its page out —
+    /// the one leaf executor of the serving path (batches and the ParaBit
+    /// baseline). The program's chip latency occupies the die's lane in
+    /// `queues`; the `ReadOut` page streams over the die's channel bus —
+    /// bus occupancy, not die occupancy (the die is free to sense the
+    /// next leaf while the bus drains). Each command's energy is added to
+    /// `energy_uj`. Returns the page, complemented when the program asks
+    /// the controller to, and the chip latency, µs.
+    pub(crate) fn execute_leaf(
+        &self,
+        leaf: &Leaf,
+        queues: &mut DieQueues,
+        energy_uj: &mut f64,
+    ) -> Result<(BitVec, f64), FcError> {
+        let mut chip = self.ssd.chip_exec(leaf.plane.die);
+        let mut latency = 0.0;
+        for cmd in &leaf.program.commands {
+            let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
+            latency += out.latency_us;
+            *energy_uj += out.energy_uj;
+        }
+        let mut page = chip
+            .execute(Command::ReadOut { plane: leaf.program.plane })
+            .map_err(DeviceError::Nand)?
+            .into_page()
+            .expect("read-out streams the cache latch");
+        if leaf.program.controller_not {
+            page.not_assign();
+        }
+        let die = leaf.plane.die.flat(self.ssd.config());
+        queues.push(die, latency);
+        queues.push_transfer(die, self.ssd.config().page_transfer_us());
+        Ok((page, latency))
+    }
+
     /// Executes a compiled batch on the chips: leaves run die-major (each
     /// die's queue is contiguous), cached units replay their memoized
     /// pages, fresh unit results populate the cache, and every unit
-    /// accumulates into its consumers' outputs. `combined`, when given,
-    /// receives this batch's per-die occupancy on top of whatever other
-    /// batches already queued — the drain path's overlap accounting.
+    /// accumulates into its consumers' outputs. Also returns the batch's
+    /// own die and channel occupancy — the drain folds it into the
+    /// combined occupancy of everything it retires.
     pub(crate) fn execute_compiled(
         &self,
         compiled: &CompiledBatch,
         outs: &mut [BitVec],
-        combined: Option<&mut DieQueues>,
-    ) -> Result<(BatchStats, Vec<QueryFailure>), FcError> {
+    ) -> Result<(BatchStats, Vec<QueryFailure>, DieQueues), FcError> {
         let mut stats = compiled.stats_seed.clone();
         let page_bits = self.ssd.config().page_bits();
         let xfer_us = self.ssd.config().page_transfer_us();
@@ -769,32 +803,12 @@ impl DeviceCore {
                 unreachable!("order only holds executable units");
             };
             let leaf = &leaves[li];
-            let mut chip = self.ssd.chip_exec(leaf.plane.die);
-            let mut latency = 0.0;
             let mut energy = 0.0;
-            for cmd in &leaf.program.commands {
-                let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
-                latency += out.latency_us;
-                energy += out.energy_uj;
-            }
-            let mut page = chip
-                .execute(Command::ReadOut { plane: leaf.program.plane })
-                .map_err(DeviceError::Nand)?
-                .into_page()
-                .expect("read-out streams the cache latch");
-            if leaf.program.controller_not {
-                page.not_assign();
-            }
+            let (page, latency) = self.execute_leaf(leaf, &mut own, &mut energy)?;
             let senses = leaf.program.sense_count() as u64;
             stats.senses += senses;
             stats.chip_time_us += latency;
             stats.energy_uj += energy;
-            let die_flat = leaf.plane.die.flat(self.ssd.config());
-            own.push(die_flat, latency);
-            // The ReadOut's page streams over the die's channel bus —
-            // bus occupancy, not die occupancy (the die is free to sense
-            // the next leaf while the bus drains).
-            own.push_transfer(die_flat, xfer_us);
             // Amortized attribution: a unit serving several queries splits
             // its cost evenly. A consumer-less unit (nothing to attribute
             // to) must not poison the stats with a division by zero.
@@ -873,9 +887,6 @@ impl DeviceCore {
         stats.busiest_channel_us = own.busiest_channel_us();
         stats.critical_path_us = own.critical_path_us();
         stats.dies_used = own.dies_busy();
-        if let Some(combined) = combined {
-            combined.merge(&own);
-        }
 
         // Merge each spanning unit-stripe's buffered partial pages into
         // the unit output. Measured: the merge is the one serial stage of
@@ -934,7 +945,7 @@ impl DeviceCore {
         for f in &failures {
             outs[f.query].reset(0, false);
         }
-        Ok((stats, failures))
+        Ok((stats, failures, own))
     }
 
     /// Senses a controller evaluation costs: every operand page is read

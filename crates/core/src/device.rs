@@ -36,12 +36,11 @@ use std::collections::HashMap;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use fc_bits::BitVec;
-use fc_nand::command::Command;
 use fc_nand::error::NandError;
 use fc_nand::ispp::ProgramScheme;
 use fc_ssd::device::{wl_addr, DeviceError, SsdDevice, WriteOptions};
 use fc_ssd::ftl::GroupKey;
-use fc_ssd::pipeline::{DieQueues, SharedDieQueues};
+use fc_ssd::pipeline::DieQueues;
 use fc_ssd::topology::{DieId, PlaneId};
 use fc_ssd::SsdConfig;
 
@@ -248,8 +247,9 @@ pub struct ReadStats {
     /// Sum of chip op latencies across stripes, µs (stripes execute on
     /// different planes in parallel; this is the serial-equivalent cost).
     pub chip_time_us: f64,
-    /// Critical path under die parallelism: the busiest die's total
-    /// latency, µs.
+    /// Critical path under die and channel parallelism: the busiest
+    /// die's total latency or, when transfer-bound, the busiest channel
+    /// bus's total read-out time, µs.
     pub critical_path_us: f64,
     /// NAND energy, µJ.
     pub energy_uj: f64,
@@ -328,9 +328,6 @@ pub(crate) struct DeviceCore {
     /// wrapper so tickets can park on the session's condvars without
     /// holding the device lock.
     pub(crate) session: Arc<crate::session::Session>,
-    /// Device-lifetime per-die occupancy, mutex-sharded per die so
-    /// concurrent drains account their queue time without a global lock.
-    pub(crate) die_load: SharedDieQueues,
     /// Reliability state: parity stripes, scrub queue, fault bookkeeping
     /// and recovery counters (see [`crate::recovery`]).
     pub(crate) recovery: crate::recovery::RecoveryState,
@@ -361,7 +358,6 @@ impl DeviceCore {
             ssd.config().total_planes().is_power_of_two(),
             "plane count must be a power of two"
         );
-        let dies = ssd.config().total_dies();
         Self {
             ssd,
             operands: Vec::new(),
@@ -376,7 +372,6 @@ impl DeviceCore {
             audit_cfg: crate::audit::AuditConfig::default(),
             next_lpn: 0,
             session: Arc::new(crate::session::Session::default()),
-            die_load: SharedDieQueues::new(dies),
             recovery: crate::recovery::RecoveryState::default(),
             epoch: 0,
             generation_counter: 0,
@@ -902,16 +897,11 @@ impl DeviceCore {
     ///
     /// Same as [`Self::fc_read`].
     pub fn parabit_read(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
-        self.run_serial(expr)
-    }
-
-    /// The pre-batch serial path, kept for the ParaBit baseline (whose
-    /// whole point is serial sensing — batching it would misrepresent
-    /// the technique being compared against). Operands spanning dies run
-    /// through the same die-split machinery as the batch path: per-die
-    /// programs plus a controller merge, instead of silently executing
-    /// every stripe on the last operand's chip.
-    fn run_serial(&self, expr: &Expr) -> Result<(BitVec, ReadStats), FcError> {
+        // No batch planner: ParaBit's whole point is serial sensing, so
+        // batching it would misrepresent the technique being compared
+        // against. Operands spanning dies run through the same die-split
+        // machinery as the batch path: per-die programs plus a controller
+        // merge.
         let ids: Vec<OperandId> = expr.operands().into_iter().collect();
         let first = *ids.first().ok_or(FcError::SizeMismatch)?;
         let bits = self.record(first)?.bits;
@@ -926,7 +916,7 @@ impl DeviceCore {
         let page_bits = self.ssd.config().page_bits();
         let mut result = BitVec::zeros(pages * page_bits);
         let mut stats = ReadStats::default();
-        let mut die_time: HashMap<DieId, f64> = HashMap::new();
+        let mut queues = DieQueues::for_config(self.ssd.config());
         for slot in 0..pages {
             let map = self.stripe_map(&ids, slot)?;
             let plan =
@@ -937,30 +927,15 @@ impl DeviceCore {
             let tree = plan.flatten(&mut leaves);
             let mut partials: Vec<Option<BitVec>> = Vec::with_capacity(leaves.len());
             for leaf in &leaves {
-                let mut chip = self.ssd.chip_exec(leaf.plane.die);
-                let mut latency = 0.0;
-                for cmd in &leaf.program.commands {
-                    let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
-                    latency += out.latency_us;
-                    stats.energy_uj += out.energy_uj;
-                }
-                let mut page = chip
-                    .execute(Command::ReadOut { plane: leaf.program.plane })
-                    .map_err(DeviceError::Nand)?
-                    .into_page()
-                    .expect("read-out streams the cache latch");
-                if leaf.program.controller_not {
-                    page.not_assign();
-                }
+                let (page, latency) = self.execute_leaf(leaf, &mut queues, &mut stats.energy_uj)?;
                 stats.senses += leaf.program.sense_count() as u64;
                 stats.chip_time_us += latency;
-                *die_time.entry(leaf.plane.die).or_insert(0.0) += latency;
                 partials.push(Some(page));
             }
             let page = crossdie::eval_merge(&tree, &mut partials);
             result.copy_from(slot * page_bits, &page);
         }
-        stats.critical_path_us = die_time.values().fold(0.0, |a, &b| a.max(b));
+        stats.critical_path_us = queues.critical_path_us();
         Ok((result.slice(0, bits), stats))
     }
 
@@ -1360,12 +1335,6 @@ impl FlashCosmosDevice {
     /// benches.
     pub fn operand_dies(&self, id: OperandId) -> Option<Vec<DieId>> {
         self.core().operand_dies(id).map(<[DieId]>::to_vec)
-    }
-
-    /// Device-lifetime per-die occupancy accumulated by every drain, µs
-    /// by flat die id — the load-balance picture across the whole run.
-    pub fn die_occupancy(&self) -> DieQueues {
-        self.core().die_load.snapshot()
     }
 }
 

@@ -663,8 +663,9 @@ pub struct MaintenanceStats {
     pub fill_time_us: f64,
     /// The critical-path budget the fill-in had to respect, µs.
     pub budget_us: f64,
-    /// Busiest die after fill-in, µs (≤ `budget_us` whenever any budget
-    /// was finite).
+    /// Critical path after fill-in — max(busiest die, busiest channel),
+    /// µs. Fill-in keeps every die at or below `budget_us`; the channel
+    /// lanes hold only the drained batches' own transfers.
     pub critical_path_us: f64,
     /// Aged pages refreshed by the retention scrubber during this drain
     /// (see [`crate::recovery`]); scrubbing shares the slack budget.
@@ -892,7 +893,7 @@ impl crate::device::DeviceCore {
         }
         stats.jobs_deferred = deferred.len();
         *self.session.jobs() = deferred;
-        stats.critical_path_us = queues.busiest_us();
+        stats.critical_path_us = queues.critical_path_us();
         Ok(stats)
     }
 }
@@ -1095,5 +1096,21 @@ mod tests {
             mk(vec![6, 7], 2, 3, 2), // exactly at both thresholds → selected
         ];
         assert_eq!(HotSetRegrouper.select(&candidates, &cfg), vec![0, 3]);
+    }
+
+    #[test]
+    fn maintenance_critical_path_counts_the_channel_lane() {
+        let dev = crate::device::FlashCosmosDevice::new(fc_ssd::SsdConfig::tiny_test());
+        // A drained batch whose page transfers outlast its senses: the
+        // channel bus, not a die, bounds the drain.
+        let mut queues = fc_ssd::pipeline::DieQueues::for_config(dev.config());
+        queues.push(0, 10.0);
+        queues.push_transfer(0, 25.0);
+        queues.push_transfer(1, 15.0);
+        assert_eq!(queues.busiest_us(), 10.0);
+        let stats = dev.core_write().execute_maintenance(&mut queues, 100.0).unwrap();
+        assert_eq!(stats.jobs_executed, 0);
+        assert_eq!(stats.critical_path_us, 40.0, "channel 0 carries 25 + 15 µs");
+        assert_eq!(stats.critical_path_us, queues.critical_path_us());
     }
 }

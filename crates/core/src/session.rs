@@ -13,8 +13,8 @@
 //!   batch's [`BatchResults`]. Dies execute their queues independently,
 //!   so two in-flight batches interleave on idle dies: the combined
 //!   modeled critical path ([`DrainStats::combined_critical_path_us`],
-//!   busiest die of the summed [`DieQueues`] occupancy) sits at or below
-//!   the sum of the batches' standalone critical paths
+//!   busiest die or channel of the summed [`DieQueues`] occupancy) sits
+//!   at or below the sum of the batches' standalone critical paths
 //!   ([`DrainStats::serial_critical_path_us`]) — strictly below whenever
 //!   the batches' busy dies differ.
 //! * **Cross-batch result cache** — every plan unit is keyed by
@@ -75,7 +75,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use fc_bits::BitVec;
-use fc_ssd::pipeline::{overlap_report, DieQueues};
+use fc_ssd::pipeline::DieQueues;
 
 use crate::batch::{merge_share, BatchResults, Bottleneck, CompiledBatch, QueryBatch};
 use crate::device::{FcError, FlashCosmosDevice};
@@ -427,8 +427,8 @@ pub struct DrainStats {
     /// Sensing operations executed across all retired batches.
     pub senses: u64,
     /// Modeled critical path of the combined per-die queues, µs: dies run
-    /// their queues concurrently, so this is the busiest die's total
-    /// across *all* drained batches.
+    /// their queues concurrently, so this is the busiest die's (or, when
+    /// transfer-bound, channel's) total across *all* drained batches.
     pub combined_critical_path_us: f64,
     /// Sum of the batches' standalone critical paths, µs — what
     /// back-to-back synchronous submits would report.
@@ -892,7 +892,6 @@ impl FlashCosmosDevice {
             {
                 return Ok(DrainStats::default());
             }
-            let mut per_batch: Vec<DieQueues> = Vec::new();
             combined = DieQueues::for_config(core.ssd.config());
             stats = DrainStats::default();
             // Claim-execute-retire one batch at a time: concurrent
@@ -922,9 +921,8 @@ impl FlashCosmosDevice {
                     }
                     let mut outs: Vec<BitVec> =
                         (0..pb.compiled.queries()).map(|_| BitVec::zeros(0)).collect();
-                    let mut own = DieQueues::for_config(core.ssd.config());
-                    let (batch_stats, failures) =
-                        core.execute_compiled(&pb.compiled, &mut outs, Some(&mut own))?;
+                    let (batch_stats, failures, own) =
+                        core.execute_compiled(&pb.compiled, &mut outs)?;
                     Ok((outs, batch_stats, failures, own))
                 })();
                 match step {
@@ -932,9 +930,10 @@ impl FlashCosmosDevice {
                         stats.batches += 1;
                         stats.senses += batch_stats.senses;
                         stats.merge_us += batch_stats.merge_us;
+                        // Overlap accounting: the batches' summed
+                        // occupancy versus their back-to-back sum.
                         combined.merge(&own);
-                        core.die_load.merge(&own);
-                        per_batch.push(own);
+                        stats.serial_critical_path_us += own.critical_path_us();
                         executed_any = true;
                         // Per-query failure isolation carries through
                         // the async path: the ticket's results report
@@ -955,13 +954,11 @@ impl FlashCosmosDevice {
                     }
                 }
             }
-            let overlap = overlap_report(&per_batch);
-            stats.combined_critical_path_us = overlap.combined_critical_us;
-            stats.serial_critical_path_us = overlap.serial_critical_us;
+            stats.combined_critical_path_us = combined.critical_path_us();
             stats.dies_used = combined.dies_busy();
             stats.busiest_die_us = combined.busiest_us();
             stats.busiest_channel_us = combined.busiest_channel_us();
-            overlap_budget_us = overlap.combined_critical_us;
+            overlap_budget_us = stats.combined_critical_path_us;
             stats.health = core.health();
         }
         // Background tail: queued maintenance and scrubbing ride the

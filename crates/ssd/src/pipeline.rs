@@ -127,17 +127,19 @@ pub fn append_die_jobs(batch: &mut Vec<Vec<SenseJob>>, jobs: Vec<Vec<SenseJob>>)
 }
 
 /// Per-die occupancy of queued sense work: how much latency each die has
-/// accumulated in its work queue.
+/// accumulated in its work queue, plus the channel-bus time of the pages
+/// it streams out — the serving path's modeled device clock.
 ///
-/// The async submission path (`flash_cosmos::session`) compiles each
-/// batch into per-die command queues; this tracker models their timeline.
-/// Dies execute their queues independently and concurrently, so the
-/// completion time of everything queued is the **busiest** die
-/// ([`DieQueues::busiest_us`]), not the sum — two batches whose busy dies
-/// differ overlap on the idle ones, and [`overlap_report`] quantifies the
-/// win versus executing the batches back to back.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The serving path (`flash_cosmos::batch` and `flash_cosmos::session`)
+/// compiles each batch into per-die command queues; this tracker models
+/// their timeline. Dies execute their queues independently and
+/// concurrently, so the completion time of everything queued is the
+/// **busiest** lane ([`DieQueues::critical_path_us`]), not the sum — two
+/// batches whose busy dies differ overlap on the idle ones, which
+/// [`DieQueues::merge`] captures.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DieQueues {
+    /// Per-die occupancy, µs, indexed by flat die id.
     busy_us: Vec<f64>,
     /// Per-channel bus occupancy, µs: output transfers queued via
     /// [`DieQueues::push_transfer`]. Senses/programs occupy only the die;
@@ -145,38 +147,25 @@ pub struct DieQueues {
     /// the modeled completion time is [`DieQueues::critical_path_us`] —
     /// max(busiest die, busiest channel).
     chan_us: Vec<f64>,
-    /// Dies sharing each channel bus (flat die `d` transfers over channel
-    /// `d / dies_per_channel`). `0` means unconfigured: each die gets its
-    /// own lane, so legacy die-only trackers model no bus contention.
-    dies_per_channel: usize,
-    /// Total fill-in (background/maintenance) latency accepted via
-    /// [`DieQueues::try_fill`], µs. Included in `busy_us` as well — this
-    /// is the attribution split, not extra time.
-    filled_us: f64,
+    /// The topology the lanes model (which channel serves each die).
+    config: SsdConfig,
 }
 
 impl DieQueues {
-    /// An empty tracker for `dies` dies (it also grows on demand).
-    pub fn new(dies: usize) -> Self {
-        Self { busy_us: vec![0.0; dies], chan_us: Vec::new(), dies_per_channel: 0, filled_us: 0.0 }
-    }
-
-    /// An empty tracker with the channel topology of `config`: transfers
-    /// pushed for die `d` occupy channel `d / dies_per_channel`.
+    /// An empty tracker with the die and channel topology of `config`:
+    /// transfers pushed for die `d` occupy channel
+    /// [`SsdConfig::channel_of_die`]`(d)`.
     pub fn for_config(config: &SsdConfig) -> Self {
         Self {
             busy_us: vec![0.0; config.total_dies()],
             chan_us: vec![0.0; config.channels],
-            dies_per_channel: config.dies_per_channel,
-            filled_us: 0.0,
+            config: config.clone(),
         }
     }
 
-    /// Queues `latency_us` of work on a die (flat index).
+    /// Queues `latency_us` of work on a die (flat index, below
+    /// [`SsdConfig::total_dies`]).
     pub fn push(&mut self, die: usize, latency_us: f64) {
-        if die >= self.busy_us.len() {
-            self.busy_us.resize(die + 1, 0.0);
-        }
         self.busy_us[die] += latency_us;
     }
 
@@ -184,32 +173,20 @@ impl DieQueues {
     /// `die` (flat index). The die itself stays free — the cache latch
     /// lets the next sense overlap the outgoing transfer (§3.1).
     pub fn push_transfer(&mut self, die: usize, latency_us: f64) {
-        let ch = die / self.dies_per_channel.max(1);
-        if ch >= self.chan_us.len() {
-            self.chan_us.resize(ch + 1, 0.0);
-        }
-        self.chan_us[ch] += latency_us;
+        self.chan_us[self.config.channel_of_die(die)] += latency_us;
     }
 
-    /// Folds another tracker's queues into this one (per-die sums) — the
-    /// combined occupancy of several batches draining together.
+    /// Folds another tracker's queues (same topology) into this one —
+    /// per-die and per-channel sums, the combined occupancy of several
+    /// batches draining together.
     pub fn merge(&mut self, other: &DieQueues) {
-        if self.busy_us.len() < other.busy_us.len() {
-            self.busy_us.resize(other.busy_us.len(), 0.0);
-        }
+        debug_assert_eq!(self.config, other.config, "merged trackers share one topology");
         for (acc, &b) in self.busy_us.iter_mut().zip(&other.busy_us) {
             *acc += b;
-        }
-        if self.chan_us.len() < other.chan_us.len() {
-            self.chan_us.resize(other.chan_us.len(), 0.0);
         }
         for (acc, &b) in self.chan_us.iter_mut().zip(&other.chan_us) {
             *acc += b;
         }
-        if self.dies_per_channel == 0 {
-            self.dies_per_channel = other.dies_per_channel;
-        }
-        self.filled_us += other.filled_us;
     }
 
     /// Idle time left on a die before its queue reaches `budget_us` —
@@ -239,14 +216,8 @@ impl DieQueues {
         }
         for &(die, us) in &needed {
             self.push(die, us);
-            self.filled_us += us;
         }
         true
-    }
-
-    /// Total fill-in latency accepted by [`DieQueues::try_fill`], µs.
-    pub fn filled_us(&self) -> f64 {
-        self.filled_us
     }
 
     /// The busiest die's total queued latency, µs — the modeled critical
@@ -268,154 +239,10 @@ impl DieQueues {
         self.busiest_us().max(self.busiest_channel_us())
     }
 
-    /// Whether the channel bus (not die sensing) bounds the critical path.
-    pub fn channel_bound(&self) -> bool {
-        self.busiest_channel_us() > self.busiest_us()
-    }
-
-    /// Total queued latency across all dies, µs (the serial-equivalent
-    /// chip time).
-    pub fn total_us(&self) -> f64 {
-        self.busy_us.iter().sum()
-    }
-
     /// Number of dies with non-empty queues.
     pub fn dies_busy(&self) -> usize {
         self.busy_us.iter().filter(|&&b| b > 0.0).count()
     }
-
-    /// Number of channels with non-empty transfer lanes.
-    pub fn channels_busy(&self) -> usize {
-        self.chan_us.iter().filter(|&&b| b > 0.0).count()
-    }
-
-    /// Per-die occupancy, µs, indexed by flat die id.
-    pub fn occupancy_us(&self) -> &[f64] {
-        &self.busy_us
-    }
-
-    /// Per-channel bus occupancy, µs, indexed by channel id.
-    pub fn channel_occupancy_us(&self) -> &[f64] {
-        &self.chan_us
-    }
-
-    /// Empties every queue.
-    pub fn clear(&mut self) {
-        self.busy_us.iter_mut().for_each(|b| *b = 0.0);
-        self.chan_us.iter_mut().for_each(|b| *b = 0.0);
-        self.filled_us = 0.0;
-    }
-}
-
-/// Concurrent die-occupancy tracker: [`DieQueues`] split per die, one
-/// mutex shard per die, so N threads executing batches on *different*
-/// dies account their queue time without contending on one lock.
-///
-/// Each shard guards only its own die's accumulated busy time; there is
-/// no cross-shard invariant, so shards are locked one at a time and the
-/// lock order is trivially acyclic. [`SharedDieQueues::snapshot`]
-/// reassembles a plain [`DieQueues`] by visiting shards in die order —
-/// the result is a *consistent-enough* occupancy picture for reporting
-/// (concurrent pushes may land before or after the snapshot visits
-/// their die, exactly like a relaxed counter read).
-#[derive(Debug)]
-pub struct SharedDieQueues {
-    shards: Vec<std::sync::Mutex<DieShard>>,
-}
-
-#[derive(Debug, Default)]
-struct DieShard {
-    busy_us: f64,
-}
-
-impl SharedDieQueues {
-    /// An empty tracker with one shard per die.
-    pub fn new(dies: usize) -> Self {
-        Self { shards: (0..dies).map(|_| std::sync::Mutex::new(DieShard::default())).collect() }
-    }
-
-    fn shard(&self, die: usize) -> std::sync::MutexGuard<'_, DieShard> {
-        self.shards[die.min(self.shards.len().saturating_sub(1))]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Queues `latency_us` of work on a die (flat index). Out-of-range
-    /// dies fold into the last shard rather than growing — the shard
-    /// count is fixed at construction so no resize lock is needed.
-    pub fn push(&self, die: usize, latency_us: f64) {
-        if self.shards.is_empty() {
-            return;
-        }
-        self.shard(die).busy_us += latency_us;
-    }
-
-    /// Folds a per-batch [`DieQueues`] into the shared shards, one die
-    /// at a time (no global lock): the per-die occupancy accumulated by
-    /// one drain joins the device-lifetime totals. Fill-in attribution
-    /// stays per-drain (in drain-stats reporting); the shared tracker
-    /// keeps raw busy time only.
-    pub fn merge(&self, other: &DieQueues) {
-        if self.shards.is_empty() {
-            return;
-        }
-        for (die, &us) in other.occupancy_us().iter().enumerate() {
-            if us > 0.0 {
-                self.shard(die).busy_us += us;
-            }
-        }
-    }
-
-    /// Reassembles a plain [`DieQueues`] from the shards for reporting.
-    pub fn snapshot(&self) -> DieQueues {
-        let mut out = DieQueues::new(self.shards.len());
-        for (die, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            out.push(die, guard.busy_us);
-        }
-        out
-    }
-
-    /// Empties every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().unwrap_or_else(std::sync::PoisonError::into_inner).busy_us = 0.0;
-        }
-    }
-}
-
-/// How much die-level overlap saves when several batches drain together
-/// instead of executing back to back.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct OverlapReport {
-    /// Critical path of the combined queues — max(busiest die, busiest
-    /// channel) of the element-wise sum, µs.
-    pub combined_critical_us: f64,
-    /// Sum of each batch's standalone critical path (max of busiest die
-    /// and busiest channel per batch), µs — what serial submission would
-    /// cost.
-    pub serial_critical_us: f64,
-}
-
-impl OverlapReport {
-    /// Critical-path time saved by overlapping, µs (≥ 0).
-    pub fn saved_us(&self) -> f64 {
-        (self.serial_critical_us - self.combined_critical_us).max(0.0)
-    }
-}
-
-/// Computes the overlap of several batches' die queues: batches interleave
-/// on idle dies, so the combined critical path is the busiest die of the
-/// summed occupancy — at most (and usually below) the sum of per-batch
-/// critical paths.
-pub fn overlap_report(batches: &[DieQueues]) -> OverlapReport {
-    let mut combined = DieQueues::default();
-    let mut serial = 0.0;
-    for b in batches {
-        combined.merge(b);
-        serial += b.critical_path_us();
-    }
-    OverlapReport { combined_critical_us: combined.critical_path_us(), serial_critical_us: serial }
 }
 
 /// A per-die trace entry (used to print Fig. 7-style timelines).
@@ -627,7 +454,7 @@ impl PipelineModel {
         for &mut (ready, die, j, job) in dma_requests {
             let mut data_at_controller = ready;
             if job.dma_bytes > 0 {
-                let ch = die / cfg.dies_per_channel;
+                let ch = cfg.channel_of_die(die);
                 let dur = sim::transfer_ns(job.dma_bytes, cfg.channel_gbps);
                 let (start, end) = channels[ch].reserve(ready, dur);
                 energy.add_channel_bytes(job.dma_bytes);
@@ -755,45 +582,54 @@ mod tests {
         assert_eq!(a, before);
     }
 
+    /// Sum of every die lane, µs (the serial-equivalent chip time).
+    fn total_us(q: &DieQueues) -> f64 {
+        q.busy_us.iter().sum()
+    }
+
     #[test]
     fn die_queues_track_occupancy_and_overlap() {
-        let mut a = DieQueues::new(4);
+        let cfg = SsdConfig::tiny_test(); // 2 channels × 2 dies
+        let mut a = DieQueues::for_config(&cfg);
         a.push(0, 30.0);
         a.push(1, 10.0);
         assert_eq!(a.busiest_us(), 30.0);
-        assert_eq!(a.total_us(), 40.0);
+        assert_eq!(total_us(&a), 40.0);
         assert_eq!(a.dies_busy(), 2);
         // A second batch busy on the dies the first left idle.
-        let mut b = DieQueues::new(4);
+        let mut b = DieQueues::for_config(&cfg);
         b.push(2, 25.0);
         b.push(3, 5.0);
-        let report = overlap_report(&[a.clone(), b.clone()]);
-        assert_eq!(report.serial_critical_us, 55.0, "30 + 25 back to back");
-        assert_eq!(report.combined_critical_us, 30.0, "disjoint dies fully overlap");
-        assert_eq!(report.saved_us(), 25.0);
+        let serial = a.critical_path_us() + b.critical_path_us();
+        let mut combined = a.clone();
+        combined.merge(&b);
+        assert_eq!(serial, 55.0, "30 + 25 back to back");
+        assert_eq!(combined.critical_path_us(), 30.0, "disjoint dies fully overlap");
+        assert_eq!(serial - combined.critical_path_us(), 25.0);
         // Same-die contention degrades gracefully to the serial sum.
-        let report = overlap_report(&[a.clone(), a.clone()]);
-        assert_eq!(report.combined_critical_us, 60.0);
-        assert_eq!(report.serial_critical_us, 60.0);
-        assert_eq!(report.saved_us(), 0.0);
-        // merge grows to the wider tracker; clear empties.
-        let mut short = DieQueues::new(1);
+        let mut same = a.clone();
+        same.merge(&a);
+        assert_eq!(same.critical_path_us(), 60.0);
+        assert_eq!(a.critical_path_us() + a.critical_path_us(), 60.0);
+        // merge sums per die; a fresh tracker is empty.
+        let mut short = DieQueues::for_config(&cfg);
         short.push(0, 1.0);
         short.merge(&b);
-        assert_eq!(short.occupancy_us().len(), 4);
-        assert_eq!(short.total_us(), 31.0);
-        short.clear();
-        assert_eq!(short.total_us(), 0.0);
-        // push past the allocated width grows on demand.
-        let mut grow = DieQueues::default();
-        grow.push(5, 2.0);
-        assert_eq!(grow.occupancy_us().len(), 6);
-        assert_eq!(grow.busiest_us(), 2.0);
+        assert_eq!(short.busy_us, [1.0, 0.0, 25.0, 5.0]);
+        assert_eq!(total_us(&short), 31.0);
+        assert_eq!(total_us(&DieQueues::for_config(&cfg)), 0.0);
+        // The lanes are sized by the topology, one per die and channel.
+        let mut sized = DieQueues::for_config(&cfg);
+        assert_eq!(sized.busy_us.len(), cfg.total_dies());
+        assert_eq!(sized.chan_us.len(), cfg.channels);
+        sized.push(3, 2.0);
+        assert_eq!(sized.busiest_us(), 2.0);
     }
 
     #[test]
     fn channel_lane_tracks_bus_contention() {
         let cfg = SsdConfig::tiny_test(); // 2 channels × 2 dies
+        let busy_channels = |q: &DieQueues| q.chan_us.iter().filter(|&&c| c > 0.0).count();
         let mut q = DieQueues::for_config(&cfg);
         // Senses occupy dies only; the channel lane stays empty.
         q.push(0, 25.0);
@@ -801,7 +637,7 @@ mod tests {
         assert_eq!(q.busiest_us(), 25.0);
         assert_eq!(q.busiest_channel_us(), 0.0);
         assert_eq!(q.critical_path_us(), 25.0);
-        assert!(!q.channel_bound());
+        assert!(q.busiest_channel_us() <= q.busiest_us(), "die lanes bound the drain");
         // Dies 0 and 1 share channel 0: their transfers serialize on the
         // bus while the dies themselves stay free.
         q.push_transfer(0, 20.0);
@@ -809,32 +645,32 @@ mod tests {
         q.push_transfer(2, 20.0); // channel 1, no contention
         assert_eq!(q.busiest_us(), 25.0, "transfers do not occupy dies");
         assert_eq!(q.busiest_channel_us(), 40.0);
-        assert_eq!(q.channel_occupancy_us(), &[40.0, 20.0]);
-        assert_eq!(q.channels_busy(), 2);
+        assert_eq!(q.chan_us, [40.0, 20.0]);
+        assert_eq!(busy_channels(&q), 2);
         assert_eq!(q.critical_path_us(), 40.0, "channel bus bounds the drain");
-        assert!(q.channel_bound());
-        // merge folds channel lanes; overlap_report sees bus contention.
+        assert!(q.busiest_channel_us() > q.busiest_us());
+        // merge folds channel lanes; combining batches sees bus contention.
         let mut other = DieQueues::for_config(&cfg);
         other.push_transfer(3, 15.0); // channel 1
-        let report = overlap_report(&[q.clone(), other.clone()]);
-        assert_eq!(report.serial_critical_us, 55.0, "40 + 15 back to back");
-        assert_eq!(report.combined_critical_us, 40.0, "disjoint channels overlap");
+        let serial = q.critical_path_us() + other.critical_path_us();
+        assert_eq!(serial, 55.0, "40 + 15 back to back");
         q.merge(&other);
-        assert_eq!(q.channel_occupancy_us(), &[40.0, 35.0]);
-        // Legacy trackers (no channel topology) give each die its own
-        // lane, modeling no bus contention.
-        let mut legacy = DieQueues::new(4);
-        legacy.push_transfer(0, 10.0);
-        legacy.push_transfer(1, 10.0);
-        assert_eq!(legacy.busiest_channel_us(), 10.0);
-        q.clear();
-        assert_eq!(q.busiest_channel_us(), 0.0);
-        assert_eq!(q.channels_busy(), 0);
+        assert_eq!(q.critical_path_us(), 40.0, "disjoint channels overlap");
+        assert_eq!(q.chan_us, [40.0, 35.0]);
+        // Every die of a channel feeds that channel's one lane.
+        let mut shared = DieQueues::for_config(&cfg);
+        for die in 0..cfg.total_dies() {
+            shared.push_transfer(die, 10.0);
+        }
+        assert_eq!(shared.chan_us, [20.0, 20.0]);
+        let empty = DieQueues::for_config(&cfg);
+        assert_eq!(empty.busiest_channel_us(), 0.0);
+        assert_eq!(busy_channels(&empty), 0);
     }
 
     #[test]
     fn fill_in_work_respects_the_budget() {
-        let mut q = DieQueues::new(4);
+        let mut q = DieQueues::for_config(&SsdConfig::tiny_test()); // 4 dies
         q.push(0, 80.0);
         q.push(1, 20.0);
         // Slack against a 100 µs budget: 20 on die 0, 80 on die 1, full
@@ -845,25 +681,24 @@ mod tests {
         assert_eq!(q.slack_us(9, 100.0), 100.0, "out-of-range dies are idle");
         // A two-die job that fits goes in; the occupancy reflects it.
         assert!(q.try_fill(&[(1, 30.0), (2, 50.0)], 100.0));
-        assert_eq!(q.occupancy_us()[1], 50.0);
-        assert_eq!(q.occupancy_us()[2], 50.0);
-        assert_eq!(q.filled_us(), 80.0);
+        assert_eq!(q.busy_us[1], 50.0);
+        assert_eq!(q.busy_us[2], 50.0);
+        assert_eq!(total_us(&q) - 100.0, 80.0, "80 µs of fill-in accepted");
         // All-or-nothing: one overfull die rejects the whole job, and the
         // fitting piece must not have been applied.
         assert!(!q.try_fill(&[(3, 10.0), (0, 30.0)], 100.0));
-        assert_eq!(q.occupancy_us()[3], 0.0, "rejected job left no residue");
-        assert_eq!(q.filled_us(), 80.0);
+        assert_eq!(q.busy_us[3], 0.0, "rejected job left no residue");
+        assert_eq!(total_us(&q) - 100.0, 80.0);
         // Two pieces on one die must jointly fit, not just individually.
         assert!(!q.try_fill(&[(3, 60.0), (3, 60.0)], 100.0));
         assert!(q.try_fill(&[(3, 60.0), (3, 40.0)], 100.0));
         assert_eq!(q.busiest_us(), 100.0, "fill-in never exceeds the budget");
-        // merge carries the fill-in attribution along.
-        let mut other = DieQueues::new(4);
+        // merge carries the fill-in along.
+        let mut other = DieQueues::for_config(&SsdConfig::tiny_test());
         other.try_fill(&[(0, 5.0)], 100.0);
         q.merge(&other);
-        assert_eq!(q.filled_us(), 185.0);
-        q.clear();
-        assert_eq!(q.filled_us(), 0.0);
+        assert_eq!(total_us(&q) - 100.0, 185.0);
+        assert_eq!(total_us(&DieQueues::for_config(&SsdConfig::tiny_test())), 0.0);
     }
 
     #[test]
@@ -977,7 +812,7 @@ mod tests {
             let mut dmas: Vec<_> = r
                 .trace
                 .iter()
-                .filter(|e| e.stage == Stage::Dma && e.die / cfg.dies_per_channel == ch)
+                .filter(|e| e.stage == Stage::Dma && cfg.channel_of_die(e.die) == ch)
                 .collect();
             dmas.sort_by(|a, b| a.start_us.partial_cmp(&b.start_us).unwrap());
             for w in dmas.windows(2) {

@@ -160,10 +160,43 @@ fn parabit_cross_die_regression() {
     assert_eq!(pb, expect, "ParaBit must not silently mis-execute cross-die operands");
     assert_eq!(pb_stats.senses, 4, "ParaBit still senses every operand once");
     assert!(pb_stats.critical_path_us < pb_stats.chip_time_us, "two dies sense concurrently");
+    // Each die runs its two operands' serial single-wordline senses; the
+    // page transfers (32 B on tiny) stay far below a sense, so the busiest
+    // die — two tR — is the critical path.
+    let tr_us = dev.config().tr_us;
+    assert_eq!(pb_stats.chip_time_us, 4.0 * tr_us);
+    assert_eq!(pb_stats.critical_path_us, 2.0 * tr_us, "busiest die: two senses");
 
     let or_expr = Expr::or(vec![Expr::and_vars(ids[..2].iter().copied()), Expr::var(ids[2])]);
     let (pb, _) = dev.parabit_read(&or_expr).unwrap();
     assert_eq!(pb, vs[0].and(&vs[1]).or(&vs[2]));
+}
+
+/// ParaBit runs on the serving path's device clock: at 16 KiB pages a
+/// read-out (13.7 µs at 1.2 GB/s) is over half a sense, so two one-sense
+/// leaves on dies sharing a channel keep the bus busier than either die.
+#[test]
+fn parabit_critical_path_counts_the_shared_channel() {
+    let mut cfg = SsdConfig::tiny_test();
+    cfg.page_bytes = 16 * 1024;
+    let dev = FlashCosmosDevice::new(cfg.clone());
+    let mut rng = StdRng::seed_from_u64(0xC4A);
+    let vs: Vec<BitVec> = (0..2).map(|_| BitVec::random(cfg.page_bits(), &mut rng)).collect();
+    // Dies 0 and 1 both sit on channel 0.
+    let ids: Vec<usize> = vs
+        .iter()
+        .enumerate()
+        .map(|(d, v)| {
+            let hints = StoreHints::and_group(&format!("pin{d}")).with_die(d);
+            dev.fc_write(&format!("op{d}"), v, hints).unwrap().id
+        })
+        .collect();
+    let (pb, stats) = dev.parabit_read(&Expr::or_vars(ids.iter().copied())).unwrap();
+    assert_eq!(pb, vs[0].or(&vs[1]));
+    assert_eq!(stats.senses, 2);
+    assert_eq!(stats.chip_time_us, 2.0 * cfg.tr_us, "one sense per die");
+    assert!(cfg.tr_us < 2.0 * cfg.page_transfer_us());
+    assert_eq!(stats.critical_path_us, 2.0 * cfg.page_transfer_us(), "channel 0 carries both");
 }
 
 /// Migrating operands into a shared group gathers them from several dies
