@@ -43,6 +43,10 @@ fn bitvec_ops(c: &mut Criterion) {
             acc.and_fold_assign(std::hint::black_box(&refs));
         });
     });
+    group.bench_function("at_least4_of8_16kib_page", |bench| {
+        let mut out = BitVec::zeros(bits);
+        bench.iter(|| BitVec::at_least_into(std::hint::black_box(&refs), 4, true, &mut out));
+    });
     let vth: Vec<f64> = (0..bits).map(|i| if i % 2 == 0 { -2.0 } else { 3.3 }).collect();
     group.bench_function("threshold_pack_16kib_page", |bench| {
         let mut acc = BitVec::ones(bits);
@@ -83,6 +87,30 @@ fn mws_sensing(c: &mut Criterion) {
                 })
                 .unwrap()
             });
+        });
+    }
+    // The serving path's leaf shape: one compiled program run by the leaf
+    // runner, C-latch read-out included.
+    for n in [2u32, 8] {
+        group.bench_with_input(BenchmarkId::new("mws_leaf_16kib", n), &n, |bench, &n| {
+            let wls: Vec<u32> = (0..n).collect();
+            let program = [Command::Mws {
+                flags: IscmFlags::single_read(),
+                targets: vec![MwsTarget::new(blk, &wls)],
+            }];
+            let mut energy = 0.0;
+            bench.iter(|| chip.run_program(&program, 0, &mut energy).unwrap());
+        });
+    }
+    for n in [3u32, 8] {
+        group.bench_with_input(BenchmarkId::new("threshold_mws_16kib", n), &n, |bench, &n| {
+            let wls: Vec<u32> = (0..n).collect();
+            let program = [Command::ThresholdMws {
+                target: MwsTarget::new(blk, &wls),
+                k: n.div_ceil(2) as usize,
+            }];
+            let mut energy = 0.0;
+            bench.iter(|| chip.run_program(&program, 0, &mut energy).unwrap());
         });
     }
     group.finish();

@@ -5,7 +5,7 @@ use std::fmt;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::{words_for, WORD_BITS};
+use crate::{words_for, CHUNK_WORDS, WORD_BITS};
 
 /// A fixed-length bit vector packed into `u64` words.
 ///
@@ -71,72 +71,190 @@ impl BitVec {
         v
     }
 
-    /// Multi-operand AND: returns `ops[0] & ops[1] & …` evaluated one
-    /// storage word at a time, without cloning any operand.
+    /// An empty (zero-bit) vector, usable in `const` and `static`
+    /// initializers (e.g. as the filler of a fixed-size array of page
+    /// references).
+    pub const fn new() -> Self {
+        Self { words: Vec::new(), len: 0 }
+    }
+
+    /// Multi-operand AND: returns `ops[0] & ops[1] & …`, one chunk of
+    /// [`CHUNK_WORDS`] words at a time, without cloning any operand.
     ///
     /// # Panics
     ///
     /// Panics if `ops` is empty or the operands' lengths differ.
     pub fn and_fold(ops: &[&Self]) -> Self {
-        let mut out = Self::ones(Self::fold_len(ops));
-        out.and_fold_assign(ops);
+        let mut out = Self::new();
+        Self::and_fold_into(ops, &mut out);
         out
     }
 
-    /// Multi-operand OR: returns `ops[0] | ops[1] | …` evaluated one
-    /// storage word at a time, without cloning any operand.
+    /// Multi-operand OR: returns `ops[0] | ops[1] | …`, one chunk of
+    /// [`CHUNK_WORDS`] words at a time, without cloning any operand.
     ///
     /// # Panics
     ///
     /// Panics if `ops` is empty or the operands' lengths differ.
     pub fn or_fold(ops: &[&Self]) -> Self {
-        let mut out = Self::zeros(Self::fold_len(ops));
-        out.or_fold_assign(ops);
+        let mut out = Self::new();
+        Self::or_fold_into(ops, &mut out);
         out
     }
 
-    /// In-place multi-operand AND: `self &= ops[0] & ops[1] & …`, one
-    /// storage word at a time. All operands of one word are combined
-    /// before moving to the next, so each output word is written once.
+    /// Overwrites `out` with `ops[0] & ops[1] & …` in one pass, reusing
+    /// `out`'s allocation (`out` takes the operands' length): each chunk
+    /// of `out` is seeded from `ops[0]` and folded while it is cache
+    /// resident, so no output word is written twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty or the operands' lengths differ.
+    pub fn and_fold_into(ops: &[&Self], out: &mut Self) {
+        Self::fold_into(ops, out, |a, b| *a &= b);
+    }
+
+    /// Overwrites `out` with `ops[0] | ops[1] | …` in one pass, reusing
+    /// `out`'s allocation — the OR counterpart of
+    /// [`BitVec::and_fold_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty or the operands' lengths differ.
+    pub fn or_fold_into(ops: &[&Self], out: &mut Self) {
+        Self::fold_into(ops, out, |a, b| *a |= b);
+    }
+
+    /// In-place multi-operand AND: `self &= ops[0] & ops[1] & …`. Chunk
+    /// by chunk, every operand is folded into one cache-resident chunk
+    /// of `self` before moving on, so each output word is written once
+    /// and the inner loop runs over contiguous slices (it vectorizes).
     ///
     /// # Panics
     ///
     /// Panics if any operand's length differs from `self`.
     pub fn and_fold_assign(&mut self, ops: &[&Self]) {
-        for op in ops {
-            self.assert_same_len(op);
-        }
-        for (w, a) in self.words.iter_mut().enumerate() {
-            let mut acc = *a;
-            for op in ops {
-                acc &= op.words[w];
-            }
-            *a = acc;
-        }
+        self.fold_assign(ops, |a, b| *a &= b);
     }
 
-    /// In-place multi-operand OR: `self |= ops[0] | ops[1] | …`, one
-    /// storage word at a time.
+    /// In-place multi-operand OR: `self |= ops[0] | ops[1] | …`, chunk by
+    /// chunk like [`BitVec::and_fold_assign`].
     ///
     /// # Panics
     ///
     /// Panics if any operand's length differs from `self`.
     pub fn or_fold_assign(&mut self, ops: &[&Self]) {
+        self.fold_assign(ops, |a, b| *a |= b);
+    }
+
+    /// Overwrites `out` with the multi-operand threshold of `ops`: bit
+    /// `i` is set iff at least `k` of the operands have bit `i` set — or,
+    /// with `complemented`, at least `k` of them have it *clear*. `k == 0`
+    /// is always satisfied and `k > ops.len()` never is. `out` takes the
+    /// operands' length and reuses its allocation.
+    ///
+    /// The operands are read in place, one chunk of [`CHUNK_WORDS`] words
+    /// at a time. Each chunk counts its votes in a bit-sliced counter of
+    /// `W` planes (`W` at least the smallest width with `2^W >= k`) that
+    /// stays in L1 while every operand streams that chunk through. Every
+    /// lane starts at `2^W - k`, so a lane has seen `k` votes exactly
+    /// when its ripple carry leaves the top plane; that carry-out is the
+    /// result bit, so there is no separate compare pass. Cost is
+    /// `O(ops · (W + 1))` word operations per word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty or the operands' lengths differ.
+    pub fn at_least_into(ops: &[&Self], k: usize, complemented: bool, out: &mut Self) {
+        let len = Self::fold_len(ops);
+        if k == 0 || k > ops.len() {
+            out.reset(len, k == 0);
+            return;
+        }
+        out.words.resize(words_for(len), 0);
+        out.len = len;
+        let flip = if complemented { u64::MAX } else { 0 };
+        let words = &mut out.words;
+        match usize::BITS - (k - 1).leading_zeros() {
+            0 => count_at_least::<0>(ops, k, flip, words),
+            1 => count_at_least::<1>(ops, k, flip, words),
+            2 => count_at_least::<2>(ops, k, flip, words),
+            3 => count_at_least::<3>(ops, k, flip, words),
+            4 => count_at_least::<4>(ops, k, flip, words),
+            5 => count_at_least::<5>(ops, k, flip, words),
+            6 => count_at_least::<6>(ops, k, flip, words),
+            7 => count_at_least::<7>(ops, k, flip, words),
+            8..=16 => count_at_least::<16>(ops, k, flip, words),
+            _ => count_at_least::<63>(ops, k, flip, words),
+        }
+        out.mask_tail();
+    }
+
+    /// Rewrites `self` and `other` in one pass over the words of `self`,
+    /// `other` and `src`: `(self[w], other[w]) = f(self[w], other[w],
+    /// src[w])`. Bits `f` produces beyond the length are masked off.
+    ///
+    /// This is the kernel of a fused latch step, where one sense updates
+    /// the sensing and the cache latch together.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three lengths differ.
+    pub fn map_pair_assign(
+        &mut self,
+        other: &mut Self,
+        src: &Self,
+        f: impl Fn(u64, u64, u64) -> (u64, u64),
+    ) {
+        self.assert_same_len(other);
+        self.assert_same_len(src);
+        for ((a, b), &s) in self.words.iter_mut().zip(other.words.iter_mut()).zip(&src.words) {
+            (*a, *b) = f(*a, *b, s);
+        }
+        self.mask_tail();
+        other.mask_tail();
+    }
+
+    fn fold_assign(&mut self, ops: &[&Self], f: impl Fn(&mut u64, u64)) {
         for op in ops {
             self.assert_same_len(op);
         }
-        for (w, a) in self.words.iter_mut().enumerate() {
-            let mut acc = *a;
+        for (ci, acc) in self.words.chunks_mut(CHUNK_WORDS).enumerate() {
+            let base = ci * CHUNK_WORDS;
             for op in ops {
-                acc |= op.words[w];
+                let src = &op.words[base..base + acc.len()];
+                for (a, &b) in acc.iter_mut().zip(src) {
+                    f(a, b);
+                }
             }
-            *a = acc;
         }
     }
 
+    fn fold_into(ops: &[&Self], out: &mut Self, f: impl Fn(&mut u64, u64)) {
+        let len = Self::fold_len(ops);
+        out.words.resize(words_for(len), 0);
+        out.len = len;
+        let (first, rest) = ops.split_first().expect("fold_len checked");
+        for (ci, acc) in out.words.chunks_mut(CHUNK_WORDS).enumerate() {
+            let base = ci * CHUNK_WORDS;
+            acc.copy_from_slice(&first.words[base..base + acc.len()]);
+            for op in rest {
+                let src = &op.words[base..base + acc.len()];
+                for (a, &b) in acc.iter_mut().zip(src) {
+                    f(a, b);
+                }
+            }
+        }
+    }
+
+    /// Length shared by every operand of a multi-operand kernel.
     fn fold_len(ops: &[&Self]) -> usize {
         assert!(!ops.is_empty(), "fold needs at least one operand");
-        ops[0].len
+        let len = ops[0].len;
+        for op in ops {
+            assert_eq!(op.len, len, "bit vector length mismatch");
+        }
+        len
     }
 
     /// Creates a bit vector of `len` bits copied from `bytes`
@@ -667,7 +785,7 @@ impl Default for BitVec {
     /// An empty (zero-bit) vector — the natural seed for buffers that are
     /// later [`BitVec::reset`] or [`BitVec::assign_from`] into shape.
     fn default() -> Self {
-        Self::zeros(0)
+        Self::new()
     }
 }
 
@@ -700,6 +818,36 @@ impl FromIterator<bool> for BitVec {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
         let bools: Vec<bool> = iter.into_iter().collect();
         Self::from_bools(&bools)
+    }
+}
+
+/// The counting core of [`BitVec::at_least_into`] with a `W`-plane
+/// counter (`2^W >= k`): writes each lane's carry-out into `out`. The
+/// counter of one chunk (`W` planes of [`CHUNK_WORDS`] words) stays in L1
+/// while every operand streams that chunk through; with `W` a constant
+/// the plane ripple unrolls.
+fn count_at_least<const W: usize>(ops: &[&BitVec], k: usize, flip: u64, out: &mut [u64]) {
+    let start = (1usize << W) - k;
+    let mut count = [[0u64; CHUNK_WORDS]; W];
+    for (ci, dst) in out.chunks_mut(CHUNK_WORDS).enumerate() {
+        let base = ci * CHUNK_WORDS;
+        for (p, plane) in count.iter_mut().enumerate() {
+            plane.fill(if (start >> p) & 1 == 1 { u64::MAX } else { 0 });
+        }
+        let mut reached = [0u64; CHUNK_WORDS];
+        for op in ops {
+            let src = &op.words[base..base + dst.len()];
+            for (j, &w) in src.iter().enumerate() {
+                let mut carry = w ^ flip;
+                for plane in &mut count {
+                    let p = plane[j];
+                    plane[j] = p ^ carry;
+                    carry &= p;
+                }
+                reached[j] |= carry;
+            }
+        }
+        dst.copy_from_slice(&reached[..dst.len()]);
     }
 }
 

@@ -25,6 +25,12 @@ pub use pattern::{checkered, max_string_resistance, solid, striped, DataPattern}
 /// Number of bits in one storage word of a [`BitVec`].
 pub const WORD_BITS: usize = 64;
 
+/// Words per chunk of the multi-operand kernels ([`BitVec::and_fold_assign`],
+/// [`BitVec::at_least_into`], …). A chunk of the output and the threshold
+/// kernel's counter planes for it stay in L1 while every operand streams
+/// through once.
+pub const CHUNK_WORDS: usize = 32;
+
 /// Returns the number of `u64` words needed to hold `bits` bits.
 ///
 /// ```

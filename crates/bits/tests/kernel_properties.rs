@@ -1,7 +1,7 @@
 //! Property tests for the word-parallel kernels: every fast path must
 //! match its naive per-bit reference, including non-word-aligned tails.
 
-use fc_bits::BitVec;
+use fc_bits::{BitVec, CHUNK_WORDS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -177,5 +177,95 @@ proptest! {
         let mut scratch = Vec::new();
         flipped.flip_random_bits_with(count, &mut rng, &mut scratch);
         prop_assert_eq!(v.hamming_distance(&flipped), count);
+    }
+}
+
+/// Lengths that cover one to three kernel chunks plus odd tails: exact
+/// chunk multiples, a one-bit and a one-word spill, and unaligned ends.
+fn chunk_lengths() -> Vec<usize> {
+    let chunk_bits = CHUNK_WORDS * 64;
+    let mut lens = Vec::new();
+    for chunks in 1..=3 {
+        for tail in [0usize, 1, 63, 64, 65, 130] {
+            lens.push(chunks * chunk_bits + tail);
+        }
+        lens.push(chunks * chunk_bits - 1);
+    }
+    lens
+}
+
+/// The chunked folds (in place and `_into`) match the per-bit reference
+/// across chunk boundaries and odd tails.
+#[test]
+fn chunked_folds_match_per_bit_reference_across_chunks() {
+    for (i, len) in chunk_lengths().into_iter().enumerate() {
+        for count in [1usize, 2, 5] {
+            let ops = operands(1000 + i as u64 * 7 + count as u64, count + 1, len);
+            let (acc0, rest) = ops.split_first().unwrap();
+            let refs: Vec<&BitVec> = rest.iter().collect();
+            let and_ref = BitVec::from_fn(len, |b| rest.iter().all(|o| o.get(b)));
+            let or_ref = BitVec::from_fn(len, |b| rest.iter().any(|o| o.get(b)));
+
+            let mut out = BitVec::random(17, &mut StdRng::seed_from_u64(len as u64));
+            BitVec::and_fold_into(&refs, &mut out);
+            assert_eq!(out, and_ref, "and_fold_into len={len} count={count}");
+            BitVec::or_fold_into(&refs, &mut out);
+            assert_eq!(out, or_ref, "or_fold_into len={len} count={count}");
+
+            let mut acc = acc0.clone();
+            acc.and_fold_assign(&refs);
+            assert_eq!(acc, acc0.and(&and_ref), "and_fold_assign len={len} count={count}");
+            let mut acc = acc0.clone();
+            acc.or_fold_assign(&refs);
+            assert_eq!(acc, acc0.or(&or_ref), "or_fold_assign len={len} count={count}");
+        }
+    }
+}
+
+/// The threshold kernel matches a per-bit vote count for every operand
+/// count 1..=64 and every k in 0..=n+2, plain and complemented, on a
+/// length that spans two chunks and ends mid-word.
+#[test]
+fn at_least_matches_per_bit_vote_count() {
+    let len = 2 * CHUNK_WORDS * 64 + 37;
+    let mut rng = StdRng::seed_from_u64(77);
+    use rand::Rng;
+    let mut out = BitVec::default();
+    for n in 1..=64usize {
+        // Mixed densities so counts land on both sides of every k.
+        let ops: Vec<BitVec> = (0..n)
+            .map(|_| {
+                let density = rng.gen::<f64>();
+                BitVec::random_with_density(len, density, &mut rng)
+            })
+            .collect();
+        let refs: Vec<&BitVec> = ops.iter().collect();
+        let ones: Vec<usize> = (0..len).map(|b| ops.iter().filter(|o| o.get(b)).count()).collect();
+        for k in 0..=n + 2 {
+            BitVec::at_least_into(&refs, k, false, &mut out);
+            let plain = BitVec::from_fn(len, |b| ones[b] >= k);
+            assert_eq!(out, plain, "plain n={n} k={k}");
+            BitVec::at_least_into(&refs, k, true, &mut out);
+            let complemented = BitVec::from_fn(len, |b| n - ones[b] >= k);
+            assert_eq!(out, complemented, "complemented n={n} k={k}");
+        }
+    }
+}
+
+/// `map_pair_assign` rewrites both vectors from the per-word function
+/// and masks whatever the function leaves beyond the length.
+#[test]
+fn map_pair_assign_matches_per_bit_reference() {
+    for (i, len) in chunk_lengths().into_iter().enumerate() {
+        let ops = operands(3000 + i as u64, 3, len);
+        let (mut a, mut b) = (ops[0].clone(), ops[1].clone());
+        a.map_pair_assign(&mut b, &ops[2], |a, b, s| (!(a & s), b ^ !s));
+        for bit in 0..len {
+            let (x, y, s) = (ops[0].get(bit), ops[1].get(bit), ops[2].get(bit));
+            assert_eq!(a.get(bit), !(x && s), "first len={len} bit={bit}");
+            assert_eq!(b.get(bit), y ^ !s, "second len={len} bit={bit}");
+        }
+        assert_eq!(a.count_ones(), (0..len).filter(|&bit| a.get(bit)).count());
+        assert_eq!(b.count_ones(), (0..len).filter(|&bit| b.get(bit)).count());
     }
 }

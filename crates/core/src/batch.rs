@@ -37,7 +37,6 @@ use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use fc_bits::BitVec;
-use fc_nand::command::Command;
 use fc_ssd::device::DeviceError;
 use fc_ssd::pipeline::DieQueues;
 
@@ -694,18 +693,11 @@ impl DeviceCore {
         queues: &mut DieQueues,
         energy_uj: &mut f64,
     ) -> Result<(BitVec, f64), FcError> {
-        let mut chip = self.ssd.chip_exec(leaf.plane.die);
-        let mut latency = 0.0;
-        for cmd in &leaf.program.commands {
-            let out = chip.execute(cmd.clone()).map_err(DeviceError::Nand)?;
-            latency += out.latency_us;
-            *energy_uj += out.energy_uj;
-        }
-        let mut page = chip
-            .execute(Command::ReadOut { plane: leaf.program.plane })
-            .map_err(DeviceError::Nand)?
-            .into_page()
-            .expect("read-out streams the cache latch");
+        let (mut page, latency) = self
+            .ssd
+            .chip_exec(leaf.plane.die)
+            .run_program(&leaf.program.commands, leaf.program.plane, energy_uj)
+            .map_err(DeviceError::Nand)?;
         if leaf.program.controller_not {
             page.not_assign();
         }
@@ -1199,7 +1191,9 @@ fn eval_nnf_page(nnf: &Nnf, env: &HashMap<OperandId, BitVec>) -> BitVec {
         Nnf::Threshold { k, children } => {
             let pages: Vec<BitVec> = children.iter().map(|c| eval_nnf_page(c, env)).collect();
             let refs: Vec<&BitVec> = pages.iter().collect();
-            fc_nand::mlsense::threshold_ge_serial(&refs, *k)
+            let mut out = BitVec::new();
+            BitVec::at_least_into(&refs, *k, false, &mut out);
+            out
         }
     }
 }

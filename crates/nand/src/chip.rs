@@ -83,7 +83,14 @@ struct Plane {
     faulty_mask: BitVec,
     /// The value each faulty column is stuck at.
     faulty_stuck: BitVec,
+    /// Whether `faulty_mask` has any column set (fixed at fabrication),
+    /// so a sense skips the overlay without scanning the mask.
+    has_faulty: bool,
 }
+
+/// Filler for the fixed-size page-reference lists of the fold and vote
+/// kernels (a PBM activates at most 64 wordlines).
+static NO_PAGE: BitVec = BitVec::new();
 
 /// Result of executing one command.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,22 +145,31 @@ pub struct ChipStats {
 ///
 /// # Scratch-reuse contract
 ///
-/// Every sense (`Read`, `Mws`, `EraseVerify`) evaluates its per-block
-/// ANDs, the inter-block OR, and any error injection **into these
-/// buffers** instead of allocating. The buffers are owned by the chip and
-/// live as long as it does, so steady-state sensing performs zero heap
-/// allocations once each buffer has grown to the chip's page size:
+/// Every sense (`Read`, `Mws`, `ThresholdMws`, `ReadLevel`,
+/// `EraseVerify`) evaluates its per-block ANDs, the inter-block OR, and
+/// any error injection **into these buffers** instead of allocating. The
+/// buffers are owned by the chip and live as long as it does, so
+/// steady-state sensing performs zero heap allocations once each buffer
+/// has grown to the chip's page size:
 ///
 /// * `per_block` is an arena of per-block AND results — one entry per
-///   simultaneously activated block, grown on demand and never shrunk.
-/// * `sensed` holds the OR-combined page that feeds the latch bank.
+///   simultaneously activated block of a multi-block MWS, grown on demand
+///   and never shrunk. A single-block sense folds straight into `sensed`.
+/// * `sensed` holds the page that feeds the latch bank's fused step
+///   ([`LatchBank::step`]).
 /// * `corrupt` receives a copy of a stored page **only** when that page
-///   actually gets injected errors (error-free pages are ANDed in place
-///   from the stored data, with no copy at all).
+///   actually gets injected errors. Error-free pages are folded in place
+///   from the stored data by one chunk-major multi-operand pass
+///   ([`BitVec::and_fold_into`]), with no copy at all.
 /// * `flip_idx` is the error-injection working memory between senses.
 /// * `stress_buf` is the physics-mode working population: the stored
 ///   V_TH vector is copied in, stress-shifted, and threshold-compared —
 ///   the stored populations themselves are never cloned.
+/// * `votes` holds the per-wordline conduction pages of a threshold MWS,
+///   an arena like `per_block`. It is filled only when the pages differ
+///   from storage (injected errors, physics mode); an error-free
+///   functional vote counts the stored pages in place
+///   ([`BitVec::at_least_into`], complemented: a programmed cell votes).
 ///
 /// Buffer contents are unspecified between senses; each sense fully
 /// re-initializes what it reads. Nothing outside the sense path may hold
@@ -165,11 +181,7 @@ pub struct SenseScratch {
     corrupt: BitVec,
     flip_idx: Vec<usize>,
     stress_buf: Vec<f64>,
-    /// Per-wordline vote pages of a threshold MWS (1 = programmed), an
-    /// arena like `per_block` — grown on demand, never shrunk.
     votes: Vec<BitVec>,
-    /// The bit-sliced vote counter's working planes.
-    threshold: mlsense::ThresholdScratch,
 }
 
 impl SenseScratch {
@@ -225,6 +237,7 @@ impl NandChip {
                         .map(|_| Block::new(config.geometry.wls_per_block as usize))
                         .collect(),
                     latches: LatchBank::new(page_bits),
+                    has_faulty: !faulty_mask.is_all_zeros(),
                     faulty_mask,
                     faulty_stuck,
                 }
@@ -380,8 +393,8 @@ impl NandChip {
             false,
             vref_offset_v,
         )?;
-        self.stats.busy_us += out.latency_us;
-        self.stats.energy_uj += out.energy_uj;
+        let mut out = self.account(out);
+        out.page = Some(self.c_latch_snapshot(addr.plane));
         Ok(out)
     }
 
@@ -481,53 +494,117 @@ impl NandChip {
         self.planes.get(plane as usize).map(|p| &p.faulty_mask)
     }
 
-    /// Executes one command.
+    /// Executes one command. A sense that transfers into the C-latch
+    /// returns a snapshot of it as the output page.
     ///
     /// # Errors
     ///
     /// Returns a [`NandError`] for invalid addresses, programming rule
     /// violations, malformed MWS target lists, or power-cap violations.
     pub fn execute(&mut self, cmd: Command) -> Result<CmdOutput, NandError> {
+        let publishes = published_plane(&cmd);
+        let mut out = match cmd {
+            // Programs take their page by value: no copy of the data.
+            Command::Program { addr, data, scheme, randomize } => {
+                let out = self.exec_program(addr, data, scheme, randomize)?;
+                self.account(out)
+            }
+            Command::ProgramMl { addr, pages, scheme } => {
+                let out = self.exec_program_ml(addr, pages, scheme)?;
+                self.account(out)
+            }
+            cmd => self.run(&cmd)?,
+        };
+        if let Some(plane) = publishes {
+            out.page = Some(self.c_latch_snapshot(plane));
+        }
+        Ok(out)
+    }
+
+    /// Runs a compiled program — `commands` in order, then a read-out of
+    /// `plane`'s C-latch — and returns the read-out page and the
+    /// program's summed latency, µs. This is the leaf runner of the
+    /// serving path: commands are borrowed, and no sense snapshots the
+    /// C-latch on the way (only the final read-out copies it). Each
+    /// command's energy is added to `energy_uj` in command order. Stats,
+    /// latency, energy and RNG draws are exactly those of
+    /// [`execute`](Self::execute)-ing every command and then
+    /// [`Command::ReadOut`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first command's error as [`execute`](Self::execute)
+    /// would, or an out-of-range error for `plane`.
+    pub fn run_program(
+        &mut self,
+        commands: &[Command],
+        plane: u32,
+        energy_uj: &mut f64,
+    ) -> Result<(BitVec, f64), NandError> {
+        let mut latency = 0.0;
+        for cmd in commands {
+            let out = self.run(cmd)?;
+            latency += out.latency_us;
+            *energy_uj += out.energy_uj;
+        }
+        self.validate_plane(plane)?;
+        Ok((self.c_latch_snapshot(plane), latency))
+    }
+
+    /// Executes one borrowed command and accounts its busy time and
+    /// energy. Senses leave their result in the C-latch without a
+    /// snapshot; only `ReadOut` copies it out.
+    fn run(&mut self, cmd: &Command) -> Result<CmdOutput, NandError> {
         let out = match cmd {
             Command::Read { addr, inverse } => {
-                let flags = if inverse {
+                let flags = if *inverse {
                     IscmFlags::single_inverse_read()
                 } else {
                     IscmFlags::single_read()
                 };
                 self.exec_mws(flags, &[MwsTarget::new(addr.block(), &[addr.wl])], false, 0.0)?
             }
-            Command::Mws { flags, targets } => self.exec_mws(flags, &targets, false, 0.0)?,
-            Command::ThresholdMws { target, k } => self.exec_threshold_mws(target, k)?,
+            Command::Mws { flags, targets } => self.exec_mws(*flags, targets, false, 0.0)?,
+            Command::ThresholdMws { target, k } => self.exec_threshold_mws(*target, *k)?,
             Command::ProgramMl { addr, pages, scheme } => {
-                self.exec_program_ml(addr, pages, scheme)?
+                self.exec_program_ml(*addr, pages.clone(), *scheme)?
             }
-            Command::ReadLevel { addr, level } => self.exec_read_level(addr, level)?,
+            Command::ReadLevel { addr, level } => self.exec_read_level(*addr, *level)?,
             Command::EraseVerify { block } => {
-                self.config.geometry.validate_block(block)?;
+                self.config.geometry.validate_block(*block)?;
                 let n = self.config.geometry.wls_per_block.min(64);
-                self.exec_mws(IscmFlags::single_read(), &[MwsTarget::all_wls(block, n)], true, 0.0)?
+                self.exec_mws(IscmFlags::single_read(), &[MwsTarget::all_wls(*block, n)], true, 0.0)?
             }
             Command::Program { addr, data, scheme, randomize } => {
-                self.exec_program(addr, data, scheme, randomize)?
+                self.exec_program(*addr, data.clone(), *scheme, *randomize)?
             }
-            Command::Erase { block } => self.exec_erase(block)?,
+            Command::Erase { block } => self.exec_erase(*block)?,
             Command::XorLatch { plane } => {
-                self.validate_plane(plane)?;
-                self.planes[plane as usize].latches.xor_into_c();
+                self.validate_plane(*plane)?;
+                self.planes[*plane as usize].latches.xor_into_c();
                 CmdOutput::latch_only()
             }
             Command::ReadOut { plane } => {
-                self.validate_plane(plane)?;
-                let page = self.planes[plane as usize].latches.c_latch().clone();
-                CmdOutput { page: Some(page), ..CmdOutput::latch_only() }
+                self.validate_plane(*plane)?;
+                CmdOutput { page: Some(self.c_latch_snapshot(*plane)), ..CmdOutput::latch_only() }
             }
-            Command::Copyback { from, to } => self.exec_copyback(from, to)?,
-            Command::SetFeature { feature } => self.exec_set_feature(feature)?,
+            Command::Copyback { from, to } => self.exec_copyback(*from, *to)?,
+            Command::SetFeature { feature } => self.exec_set_feature(*feature)?,
         };
+        Ok(self.account(out))
+    }
+
+    /// Adds a command's latency and energy to the chip's totals.
+    fn account(&mut self, out: CmdOutput) -> CmdOutput {
         self.stats.busy_us += out.latency_us;
         self.stats.energy_uj += out.energy_uj;
-        Ok(out)
+        out
+    }
+
+    /// A copy of a (validated) plane's C-latch — what a data-out cycle
+    /// streams to the controller.
+    fn c_latch_snapshot(&self, plane: u32) -> BitVec {
+        self.planes[plane as usize].latches.c_latch().clone()
     }
 
     fn validate_plane(&self, plane: u32) -> Result<(), NandError> {
@@ -636,7 +713,7 @@ impl NandChip {
             false,
             0.0,
         )?;
-        let data = read.page.clone().expect("read produces a page");
+        let data = self.c_latch_snapshot(from.plane);
         let prog = self.exec_program(to, data, src.scheme, false)?;
         Ok(CmdOutput {
             latency_us: read.latency_us + prog.latency_us,
@@ -710,17 +787,15 @@ impl NandChip {
             }
         }
 
-        // Evaluate each block's string AND into the scratch arena, then OR
-        // across blocks (Eq. 1). Field-level borrows keep the stored pages
-        // readable in place while the RNG, stats and scratch mutate.
+        // Evaluate each block's string AND, then OR across blocks (Eq. 1);
+        // a single block's AND is the sensed page itself. Field-level
+        // borrows keep the stored pages readable in place while the RNG,
+        // stats and scratch mutate.
         {
             let Self { planes, rng, scratch, config, stats, retention_months, .. } = self;
-            while scratch.per_block.len() < targets.len() {
-                scratch.per_block.push(BitVec::default());
-            }
-            let SenseScratch { per_block, corrupt, flip_idx, stress_buf, .. } = scratch;
+            let SenseScratch { per_block, sensed, corrupt, flip_idx, stress_buf, .. } = scratch;
             let plane_state = &planes[plane as usize];
-            for (out, t) in per_block.iter_mut().zip(targets) {
+            let mut block_and = |out: &mut BitVec, t: &MwsTarget| {
                 sense_block_and_into(
                     out,
                     plane_state,
@@ -734,14 +809,21 @@ impl NandChip {
                     corrupt,
                     flip_idx,
                     stress_buf,
-                )?;
+                )
+            };
+            if let [target] = targets {
+                block_and(sensed, target)?;
+            } else {
+                while per_block.len() < targets.len() {
+                    per_block.push(BitVec::default());
+                }
+                for (out, t) in per_block.iter_mut().zip(targets) {
+                    block_and(out, t)?;
+                }
+                sense::combine_blocks_or_into(sensed, &per_block[..targets.len()]);
             }
         }
-        {
-            let SenseScratch { per_block, sensed, .. } = &mut self.scratch;
-            sense::combine_blocks_or_into(sensed, &per_block[..targets.len()]);
-        }
-        let page = self.overlay_and_latch(plane, flags);
+        self.overlay_and_latch(plane, flags);
 
         // Timing and power.
         let max_wls = targets.iter().map(MwsTarget::wl_count).max().unwrap_or(1);
@@ -765,33 +847,23 @@ impl NandChip {
         if targets.len() > 1 || max_wls > 1 {
             self.stats.mws_ops += 1;
         }
-        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page })
+        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page: None })
     }
 
     /// Shared sense tail: applies the plane's permanently faulty columns
     /// to `scratch.sensed` (stuck columns read their stuck value
-    /// regardless of the stored data, §5.1 footnote 9), then drives the
-    /// latch sequence per the ISCM flags. Returns the C-latch snapshot
-    /// if the flags transfer.
-    fn overlay_and_latch(&mut self, plane: u32, flags: IscmFlags) -> Option<BitVec> {
-        let sensed = &mut self.scratch.sensed;
-        let plane_state = &self.planes[plane as usize];
-        if !plane_state.faulty_mask.is_all_zeros() {
+    /// regardless of the stored data, §5.1 footnote 9), then runs the
+    /// ISCM-selected latch sequence as one fused pass
+    /// ([`LatchBank::step`]). The result stays in the latches.
+    fn overlay_and_latch(&mut self, plane: u32, flags: IscmFlags) {
+        let Self { planes, scratch, .. } = self;
+        let plane_state = &mut planes[plane as usize];
+        let sensed = &mut scratch.sensed;
+        if plane_state.has_faulty {
             sensed.and_not_assign(&plane_state.faulty_mask);
             sensed.or_assign(&plane_state.faulty_stuck);
         }
-        let latches = &mut self.planes[plane as usize].latches;
-        if flags.init_s {
-            latches.init_s();
-        }
-        if flags.init_c {
-            latches.init_c();
-        }
-        latches.sense(sensed, flags.inverse);
-        if flags.transfer {
-            latches.transfer();
-        }
-        flags.transfer.then(|| latches.c_latch().clone())
+        plane_state.latches.step(sensed, flags);
     }
 
     /// Dynamic-sensing threshold vote over one block's wordlines: bit `i`
@@ -799,9 +871,11 @@ impl NandChip {
     /// bitline `i` are **programmed**. Functional mode counts exactly;
     /// physics mode derives each wordline's vote from its stress-shifted
     /// V_TH population (a cell votes when it fails to conduct at its
-    /// scheme's read reference), then counts with the word-parallel
-    /// bit-sliced kernel — `mlsense::threshold_ge_serial` is the scalar
-    /// oracle both modes are property-tested against.
+    /// scheme's read reference). Both count with the chunk-major
+    /// bit-sliced kernel [`BitVec::at_least_into`] — in place over the
+    /// stored pages when they are error-free — and
+    /// `mlsense::threshold_ge_serial` is the scalar oracle both modes are
+    /// property-tested against.
     fn exec_threshold_mws(&mut self, target: MwsTarget, k: usize) -> Result<CmdOutput, NandError> {
         if target.pbm == 0 {
             return Err(NandError::EmptyMwsTarget);
@@ -833,58 +907,55 @@ impl NandChip {
                 retention_months: *retention_months,
                 reads_since_program: block_ref.reads_since_program,
             };
-            while scratch.votes.len() < n_wls {
-                scratch.votes.push(BitVec::default());
-            }
-            let SenseScratch { votes, flip_idx, stress_buf, .. } = scratch;
-            for (vote, wl) in votes.iter_mut().zip(target.wls()) {
-                let p = block_ref.pages[wl as usize].as_ref().expect("validated above");
-                match config.fidelity {
-                    Fidelity::Functional { inject_errors } => {
-                        // A programmed cell (stored 0) casts a vote.
-                        vote.assign_not_from(&p.data);
-                        if inject_errors {
-                            let n = config.rber.sample_errors(
-                                p.scheme,
-                                p.randomized,
-                                stress,
-                                page_bits,
-                                rng,
-                            );
-                            stats.injected_errors += n as u64;
-                            vote.flip_random_bits_with(n, rng, flip_idx);
-                        }
-                    }
-                    Fidelity::Physics => {
+            let SenseScratch { votes, sensed, flip_idx, stress_buf, .. } = scratch;
+            // Each wordline contributes its conduction page (1 = erased);
+            // the vote counts complemented, since a programmed cell votes.
+            let mut pages = [&NO_PAGE; 64];
+            if let Fidelity::Functional { inject_errors: false } = config.fidelity {
+                // Error-free: count the stored pages in place.
+                for (slot, wl) in pages.iter_mut().zip(target.wls()) {
+                    *slot = &block_ref.pages[wl as usize].as_ref().expect("validated above").data;
+                }
+            } else {
+                while votes.len() < n_wls {
+                    votes.push(BitVec::default());
+                }
+                for (vote, wl) in votes.iter_mut().zip(target.wls()) {
+                    let p = block_ref.pages[wl as usize].as_ref().expect("validated above");
+                    if let Fidelity::Physics = config.fidelity {
                         stress_buf.clear();
                         stress_buf.extend_from_slice(
                             p.vth.as_ref().expect("physics mode stores V_TH populations"),
                         );
                         config.stress_model.apply(stress_buf, stress, rng);
-                        // Conduction sense at the scheme's reference,
-                        // inverted: a programmed cell blocks the string.
+                        // Conduction sense at the scheme's reference.
                         vote.reset(page_bits, false);
                         vote.fill_le_threshold(stress_buf, p.scheme.read_vref());
-                        vote.not_assign();
+                    } else {
+                        vote.assign_from(&p.data);
+                        let n = config.rber.sample_errors(
+                            p.scheme,
+                            p.randomized,
+                            stress,
+                            page_bits,
+                            rng,
+                        );
+                        stats.injected_errors += n as u64;
+                        vote.flip_random_bits_with(n, rng, flip_idx);
                     }
                 }
+                for (slot, vote) in pages.iter_mut().zip(votes.iter()) {
+                    *slot = vote;
+                }
             }
-        }
-        {
-            let SenseScratch { votes, threshold, sensed, .. } = &mut self.scratch;
-            let refs: Vec<&BitVec> = votes[..n_wls].iter().collect();
-            mlsense::threshold_ge_into(&refs, k, threshold, sensed);
-        }
-        // Grown per-block defects overlay, as in any other sense.
-        {
-            let Self { planes, scratch, .. } = self;
-            let block_ref = &planes[plane as usize].blocks[target.block.block as usize];
+            BitVec::at_least_into(&pages[..n_wls], k, true, sensed);
+            // Grown per-block defects overlay, as in any other sense.
             if let Some(stuck) = &block_ref.stuck {
-                scratch.sensed.and_not_assign(&stuck.mask);
-                scratch.sensed.or_assign(&stuck.value);
+                sensed.and_not_assign(&stuck.mask);
+                sensed.or_assign(&stuck.value);
             }
         }
-        let page = self.overlay_and_latch(plane, IscmFlags::single_read());
+        self.overlay_and_latch(plane, IscmFlags::single_read());
 
         // One multi-WL activation, one sense — same latency/power shape
         // as a single-block MWS over the same wordlines.
@@ -898,7 +969,7 @@ impl NandChip {
         if n_wls > 1 {
             self.stats.mws_ops += 1;
         }
-        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page })
+        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page: None })
     }
 
     /// Multi-level program: Gray-packs 2–3 logical pages cell-wise into
@@ -1057,7 +1128,7 @@ impl NandChip {
                 scratch.sensed.or_assign(&stuck.value);
             }
         }
-        let page = self.overlay_and_latch(plane, IscmFlags::single_read());
+        self.overlay_and_latch(plane, IscmFlags::single_read());
 
         let latency = timing::T_R_SLC_US;
         let norm_power = power::read_power_norm();
@@ -1065,7 +1136,21 @@ impl NandChip {
         let b = &mut self.planes[plane as usize].blocks[addr.block as usize];
         b.reads_since_program += 1;
         self.stats.senses += 1;
-        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page })
+        Ok(CmdOutput { latency_us: latency, energy_uj: energy, norm_power, page: None })
+    }
+}
+
+/// The plane whose C-latch a command transfers its sensed result into —
+/// the plane [`NandChip::execute`] snapshots for the output page.
+fn published_plane(cmd: &Command) -> Option<u32> {
+    match cmd {
+        Command::Read { addr, .. } | Command::ReadLevel { addr, .. } => Some(addr.plane),
+        Command::Mws { flags, targets } => {
+            targets.first().filter(|_| flags.transfer).map(|t| t.block.plane)
+        }
+        Command::ThresholdMws { target, .. } => Some(target.block.plane),
+        Command::EraseVerify { block } => Some(block.plane),
+        _ => None,
     }
 }
 
@@ -1100,12 +1185,15 @@ fn sense_block_and_into(
         reads_since_program: block_ref.reads_since_program,
     };
 
-    out.reset(page_bits, true);
     match config.fidelity {
         Fidelity::Functional { inject_errors } => {
-            // Fold the stored pages directly — word-at-a-time, with no
-            // snapshot clones. A page is copied (into the reusable
-            // `corrupt` buffer) only when it actually receives errors.
+            // Error-free pages fold straight from storage in one
+            // multi-operand pass. A page that draws errors is copied into
+            // `corrupt`, flipped there, and joins the fold from that copy;
+            // the first such copy becomes the accumulator (a buffer swap).
+            let mut clean = [&NO_PAGE; 64];
+            let mut n_clean = 0;
+            let mut seeded = false;
             for wl in target.wls() {
                 let page = match &block_ref.pages[wl as usize] {
                     Some(p) => Some(p),
@@ -1151,14 +1239,28 @@ fn sense_block_and_into(
                             None => corrupt.reset(page_bits, true),
                         }
                         corrupt.flip_random_bits_with(n, rng, flip_idx);
-                        out.and_assign(corrupt);
+                        if seeded {
+                            out.and_assign(corrupt);
+                        } else {
+                            std::mem::swap(out, corrupt);
+                            seeded = true;
+                        }
                         continue;
                     }
                 }
-                if let Some(p) = page {
-                    out.and_assign(&p.data);
-                }
                 // Erased, error-free page: AND with all-ones is a no-op.
+                if let Some(p) = page {
+                    clean[n_clean] = &p.data;
+                    n_clean += 1;
+                }
+            }
+            let clean = &clean[..n_clean];
+            if seeded {
+                out.and_fold_assign(clean);
+            } else if clean.is_empty() {
+                out.reset(page_bits, true);
+            } else {
+                BitVec::and_fold_into(clean, out);
             }
         }
         Fidelity::Physics => {
@@ -1178,6 +1280,7 @@ fn sense_block_and_into(
             // (stored V_TH vectors are never cloned) and fold its packed
             // threshold comparison into the accumulator.
             let model = config.stress_model;
+            out.reset(page_bits, true);
             for wl in target.wls() {
                 stress_buf.clear();
                 match &block_ref.pages[wl as usize] {

@@ -28,6 +28,8 @@
 use fc_bits::BitVec;
 use serde::{Deserialize, Serialize};
 
+use crate::command::IscmFlags;
+
 /// One plane's latch bank (every bitline has an S- and a C-latch; we model
 /// the whole page-wide bank as two bit vectors).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,6 +91,27 @@ impl LatchBank {
     /// M3 transfer: `C ← C OR S`.
     pub fn transfer(&mut self) {
         self.c.or_assign(&self.s);
+    }
+
+    /// One whole sense as a single pass over the bank: the ISCM-selected
+    /// [`init_s`](Self::init_s) and [`init_c`](Self::init_c), the
+    /// evaluation ([`sense`](Self::sense), inverse or normal), and the
+    /// [`transfer`](Self::transfer), in that order. Bit for bit the same
+    /// as issuing those operations one after another.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sensed` does not match the bank width.
+    pub fn step(&mut self, sensed: &BitVec, flags: IscmFlags) {
+        assert_eq!(sensed.len(), self.s.len(), "sensed page width mismatch");
+        let mask = |on: bool| if on { u64::MAX } else { 0 };
+        let (set_s, keep_c) = (mask(flags.init_s), !mask(flags.init_c));
+        let (inverse, transfer) = (mask(flags.inverse), mask(flags.transfer));
+        let Self { s, c } = self;
+        s.map_pair_assign(c, sensed, |s, c, n| {
+            let s = (inverse & !n) | (!inverse & (s | set_s) & n);
+            (s, (c & keep_c) | (s & transfer))
+        });
     }
 
     /// Internal XOR logic: `C ← S XOR C`.
@@ -256,6 +279,30 @@ mod tests {
     fn width_mismatch_panics() {
         let mut bank = LatchBank::new(64);
         bank.sense(&BitVec::zeros(32), false);
+    }
+
+    #[test]
+    fn fused_step_matches_sequential_ops() {
+        for nibble in 0..16u8 {
+            let flags = IscmFlags::from_nibble(nibble);
+            let mut fused = LatchBank::new(200);
+            fused.load_s(&rand_page(30, 200));
+            fused.load_c(&rand_page(31, 200));
+            let mut seq = fused.clone();
+            let n = rand_page(32 + u64::from(nibble), 200);
+            fused.step(&n, flags);
+            if flags.init_s {
+                seq.init_s();
+            }
+            if flags.init_c {
+                seq.init_c();
+            }
+            seq.sense(&n, flags.inverse);
+            if flags.transfer {
+                seq.transfer();
+            }
+            assert_eq!(fused, seq, "flags {flags:?}");
+        }
     }
 
     #[test]

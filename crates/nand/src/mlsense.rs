@@ -9,10 +9,13 @@
 //! the two pieces of device-side machinery that turn that observation into
 //! a compute primitive:
 //!
-//! * **Vote counting** — [`threshold_ge_into`], a word-parallel bit-sliced
-//!   ripple-carry population counter plus an MSB-down `≥ k` comparator over
-//!   the per-bitline counts, with [`threshold_ge_serial`] as the bit-exact
-//!   scalar oracle (the same kernel/oracle pairing as `ispp::pulse_rounds`).
+//! * **Vote counting** — the chip counts votes with
+//!   [`BitVec::at_least_into`], a chunk-major bit-sliced counter that reads
+//!   the stored pages in place (complemented: a programmed cell, stored 0,
+//!   votes) and keeps each chunk's counter planes in L1; the `≥ k` compare
+//!   is the counter's carry-out, so there is no separate comparator pass.
+//!   [`threshold_ge_serial`] is the bit-exact scalar oracle (the same
+//!   kernel/oracle pairing as `ispp::pulse_rounds`).
 //! * **Multi-level page codes** — Gray-code level maps for MLC/TLC cells
 //!   ([`gray_codes`]), cell-level encoding of 2–3 logical pages into one
 //!   physical page ([`encode_levels`]), and the read-side transition model
@@ -24,98 +27,9 @@ use fc_bits::BitVec;
 
 use crate::geometry::CellMode;
 
-/// Reusable buffers for [`threshold_ge_into`]: the bit-sliced count planes
-/// plus carry/comparator temporaries. Create once per chip/plane and reuse
-/// across senses — same pattern as `sense::SenseScratch`.
-#[derive(Debug, Default, Clone)]
-pub struct ThresholdScratch {
-    /// Bit-sliced per-bitline vote count: `planes[p]` holds bit `p` of
-    /// every bitline's count.
-    planes: Vec<BitVec>,
-    carry: BitVec,
-    tmp: BitVec,
-    gt: BitVec,
-    eq: BitVec,
-}
-
-/// Word-parallel threshold vote: sets bit `i` of `out` iff at least `k` of
-/// the `votes` pages have bit `i` set.
-///
-/// Counts votes into a bit-sliced ripple-carry accumulator (one full-adder
-/// chain per vote page, all bitlines in parallel per 64-bit word), then
-/// compares the per-bitline counts against the constant `k` MSB-down. Cost
-/// is `O(votes · log votes)` word ops — independent of `k`.
-///
-/// # Panics
-///
-/// Panics if `votes` is empty or the vote pages have mismatched lengths.
-pub fn threshold_ge_into(
-    votes: &[&BitVec],
-    k: usize,
-    scratch: &mut ThresholdScratch,
-    out: &mut BitVec,
-) {
-    assert!(!votes.is_empty(), "threshold vote needs at least one page");
-    let len = votes[0].len();
-    let n = votes.len();
-    // Enough planes to hold counts up to n.
-    let width = usize::BITS as usize - n.leading_zeros() as usize;
-    scratch.planes.resize_with(width, BitVec::default);
-    for plane in &mut scratch.planes {
-        plane.reset(len, false);
-    }
-    scratch.carry.reset(len, false);
-    scratch.tmp.reset(len, false);
-
-    // Accumulate: add 1 (where the vote page is set) into the bit-sliced
-    // counter with a ripple carry across planes.
-    for vote in votes {
-        assert_eq!(vote.len(), len, "threshold vote pages must share a length");
-        scratch.carry.assign_from(vote);
-        for plane in &mut scratch.planes {
-            // (plane, carry) -> (plane ^ carry, plane & carry)
-            scratch.tmp.assign_from(plane);
-            scratch.tmp.and_assign(&scratch.carry);
-            plane.xor_assign(&scratch.carry);
-            scratch.carry.assign_from(&scratch.tmp);
-        }
-    }
-
-    // Compare count >= k, scanning bits MSB-down:
-    //   gt |= eq & count_bit & !k_bit;   eq &= !(count_bit ^ k_bit)
-    // `k` may need more bits than the counter holds (k > n is legal and
-    // simply never satisfied), so scan over max(width, bits(k)).
-    let k_width = usize::BITS as usize - k.leading_zeros() as usize;
-    scratch.gt.reset(len, false);
-    scratch.eq.reset(len, true);
-    for bit in (0..width.max(k_width)).rev() {
-        let k_bit = (k >> bit) & 1 == 1;
-        match scratch.planes.get(bit) {
-            Some(plane) => {
-                if k_bit {
-                    scratch.eq.and_assign(plane);
-                } else {
-                    scratch.tmp.assign_from(&scratch.eq);
-                    scratch.tmp.and_assign(plane);
-                    scratch.gt.or_assign(&scratch.tmp);
-                    scratch.eq.and_not_assign(plane);
-                }
-            }
-            // Count bit is implicitly 0 above the counter width.
-            None => {
-                if k_bit {
-                    scratch.eq.fill(false);
-                }
-            }
-        }
-    }
-    out.reset(len, false);
-    out.or_assign(&scratch.gt);
-    out.or_assign(&scratch.eq);
-}
-
-/// Scalar oracle for [`threshold_ge_into`]: per-bitline `filter().count()`,
-/// no word tricks. Property tests pin the packed kernel against this.
+/// Scalar oracle for the vote counter, [`BitVec::at_least_into`]:
+/// per-bitline `filter().count()`, no word tricks. Property tests pin the
+/// chunked kernel against this.
 ///
 /// # Panics
 ///
@@ -240,17 +154,22 @@ mod tests {
 
     #[test]
     fn packed_threshold_matches_serial_oracle() {
-        let mut scratch = ThresholdScratch::default();
         let mut out = BitVec::default();
         for n in [1, 2, 3, 5, 9, 17, 64] {
             let votes = vote_pages(n, 515, n as u64);
             let refs: Vec<&BitVec> = votes.iter().collect();
+            let inverted: Vec<BitVec> = votes.iter().map(BitVec::not).collect();
+            let inv_refs: Vec<&BitVec> = inverted.iter().collect();
             for k in [1, 2, n / 2, n.div_ceil(2), n, n + 1, n + 40] {
                 if k == 0 {
                     continue;
                 }
-                threshold_ge_into(&refs, k, &mut scratch, &mut out);
-                assert_eq!(out, threshold_ge_serial(&refs, k), "n={n} k={k}");
+                let expect = threshold_ge_serial(&refs, k);
+                BitVec::at_least_into(&refs, k, false, &mut out);
+                assert_eq!(out, expect, "n={n} k={k}");
+                // Complemented counting over the inverted pages.
+                BitVec::at_least_into(&inv_refs, k, true, &mut out);
+                assert_eq!(out, expect, "complemented n={n} k={k}");
             }
         }
     }
@@ -259,27 +178,26 @@ mod tests {
     fn threshold_extremes_are_or_and_and() {
         let votes = vote_pages(7, 256, 99);
         let refs: Vec<&BitVec> = votes.iter().collect();
-        let mut scratch = ThresholdScratch::default();
         let mut out = BitVec::default();
-        threshold_ge_into(&refs, 1, &mut scratch, &mut out);
+        BitVec::at_least_into(&refs, 1, false, &mut out);
         assert_eq!(out, BitVec::or_fold(&refs));
-        threshold_ge_into(&refs, 7, &mut scratch, &mut out);
+        BitVec::at_least_into(&refs, 7, false, &mut out);
         assert_eq!(out, BitVec::and_fold(&refs));
-        threshold_ge_into(&refs, 8, &mut scratch, &mut out);
+        BitVec::at_least_into(&refs, 8, false, &mut out);
         assert!(out.is_all_zeros(), "k > n is never satisfied");
     }
 
     #[test]
     fn scratch_reuse_is_clean() {
-        let mut scratch = ThresholdScratch::default();
         let mut out = BitVec::default();
-        // A big first call must not leak counts into a smaller second call.
+        // A big first call must not leak counts into a smaller second call
+        // through the reused output buffer.
         let big = vote_pages(33, 512, 7);
         let refs: Vec<&BitVec> = big.iter().collect();
-        threshold_ge_into(&refs, 17, &mut scratch, &mut out);
+        BitVec::at_least_into(&refs, 17, true, &mut out);
         let small = vote_pages(3, 130, 8);
         let refs: Vec<&BitVec> = small.iter().collect();
-        threshold_ge_into(&refs, 2, &mut scratch, &mut out);
+        BitVec::at_least_into(&refs, 2, false, &mut out);
         assert_eq!(out, threshold_ge_serial(&refs, 2));
     }
 

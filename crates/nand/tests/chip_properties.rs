@@ -1,6 +1,7 @@
 //! Property-based tests of the chip state machine: MWS correctness over
-//! arbitrary target sets, command-frame codec roundtrips, and the
-//! footnote-15 MLC LSB-page operating mode.
+//! arbitrary target sets, command-frame codec roundtrips, the leaf
+//! runner's equivalence with one-command execution, and the footnote-15
+//! MLC LSB-page operating mode.
 
 use fc_bits::BitVec;
 use fc_nand::chip::NandChip;
@@ -12,6 +13,82 @@ use proptest::prelude::*;
 
 fn chip() -> NandChip {
     NandChip::new(ChipConfig::tiny_test())
+}
+
+/// A chip with three programmed blocks in plane 0 and faulty columns:
+/// block 0 ESP (error-free), block 1 regular SLC on an aged block (so
+/// injection draws errors when it is on), block 2 ESP with grown stuck
+/// columns. Two calls with the same arguments build identical chips.
+fn runner_chip(seed: u64, inject: bool) -> NandChip {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    let base = if inject { ChipConfig::tiny_noisy() } else { ChipConfig::tiny_test() };
+    let mut chip = NandChip::new(base.with_seed(seed).with_faulty_columns(0.05));
+    let bits = chip.config().geometry.page_bits();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
+    chip.cycle_block(BlockAddr::new(0, 1), 10_000).unwrap();
+    chip.set_retention_months(12.0);
+    for block in 0..3u32 {
+        let blk = BlockAddr::new(0, block);
+        let scheme =
+            if block == 1 { ProgramScheme::Slc } else { ProgramScheme::esp_default() };
+        for wl in 0..8 {
+            let data = BitVec::random(bits, &mut rng);
+            chip.execute(Command::Program { addr: blk.wordline(wl), data, scheme, randomize: false })
+                .unwrap();
+        }
+    }
+    let mask = BitVec::random_with_density(bits, 0.1, &mut rng);
+    let value = BitVec::random(bits, &mut rng);
+    chip.set_block_stuck(BlockAddr::new(0, 2), mask, value).unwrap();
+    chip
+}
+
+/// A random leaf-shaped program over `runner_chip`'s blocks: reads,
+/// single- and multi-block MWS with random ISCM flags, and threshold
+/// votes with k on both sides of the wordline count.
+fn random_program(seed: u64) -> Vec<Command> {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let len = rng.gen_range(1usize..5);
+    (0..len)
+        .map(|_| {
+            let block = BlockAddr::new(0, rng.gen_range(0..3));
+            let pbm = rng.gen_range(1u64..256);
+            match rng.gen_range(0..4) {
+                0 => Command::Read {
+                    addr: block.wordline(rng.gen_range(0..8)),
+                    inverse: rng.gen_bool(0.5),
+                },
+                1 => Command::Mws {
+                    flags: IscmFlags::from_nibble(rng.gen_range(0..16)),
+                    targets: vec![MwsTarget { block, pbm }],
+                },
+                2 => {
+                    // Two or three distinct blocks, starting anywhere.
+                    let first = rng.gen_range(0u32..3);
+                    let n = rng.gen_range(2u32..4);
+                    Command::Mws {
+                        flags: IscmFlags::from_nibble(rng.gen_range(0..16)),
+                        targets: (0..n)
+                            .map(|i| MwsTarget {
+                                block: BlockAddr::new(0, (first + i) % 3),
+                                pbm: rng.gen_range(1u64..256),
+                            })
+                            .collect(),
+                    }
+                }
+                _ => {
+                    let n = pbm.count_ones() as usize;
+                    Command::ThresholdMws {
+                        target: MwsTarget { block, pbm },
+                        k: rng.gen_range(1..n + 2),
+                    }
+                }
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -46,6 +123,43 @@ proptest! {
             expect.and_assign(&pages[wl as usize]);
         }
         prop_assert_eq!(out.page().unwrap(), &expect);
+    }
+
+    /// The leaf runner is one-command execution without the per-sense
+    /// snapshots: on two same-seed chips, `run_program` and a loop of
+    /// `execute` calls plus a `ReadOut` read out the same page, sum the
+    /// same latency and energy, leave the same `ChipStats`, and leave
+    /// the RNG at the same point (the next injected-error draw agrees).
+    #[test]
+    fn run_program_matches_execute_loop(
+        chip_seed in any::<u64>(),
+        program_seed in any::<u64>(),
+        inject in any::<bool>(),
+    ) {
+        let program = random_program(program_seed);
+        let mut one_by_one = runner_chip(chip_seed, inject);
+        let mut runner = runner_chip(chip_seed, inject);
+
+        let (mut latency, mut energy) = (0.0, 0.0);
+        for cmd in &program {
+            let out = one_by_one.execute(cmd.clone()).unwrap();
+            latency += out.latency_us;
+            energy += out.energy_uj;
+        }
+        let page = one_by_one.execute(Command::ReadOut { plane: 0 }).unwrap().into_page();
+
+        let mut run_energy = 0.0;
+        let (run_page, run_latency) = runner.run_program(&program, 0, &mut run_energy).unwrap();
+        prop_assert_eq!(page.as_ref(), Some(&run_page));
+        prop_assert_eq!(latency.to_bits(), run_latency.to_bits());
+        prop_assert_eq!(energy.to_bits(), run_energy.to_bits());
+        prop_assert_eq!(one_by_one.stats(), runner.stats());
+
+        let probe = Command::Read { addr: BlockAddr::new(0, 1).wordline(3), inverse: false };
+        let next = one_by_one.execute(probe.clone()).unwrap().into_page();
+        let run_next = runner.execute(probe).unwrap().into_page();
+        prop_assert_eq!(next, run_next);
+        prop_assert_eq!(one_by_one.stats(), runner.stats());
     }
 
     /// Inter-block MWS equals the OR of per-block ANDs (Eq. 1) for any
