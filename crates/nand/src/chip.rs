@@ -573,7 +573,12 @@ impl NandChip {
             Command::EraseVerify { block } => {
                 self.config.geometry.validate_block(*block)?;
                 let n = self.config.geometry.wls_per_block.min(64);
-                self.exec_mws(IscmFlags::single_read(), &[MwsTarget::all_wls(*block, n)], true, 0.0)?
+                self.exec_mws(
+                    IscmFlags::single_read(),
+                    &[MwsTarget::all_wls(*block, n)],
+                    true,
+                    0.0,
+                )?
             }
             Command::Program { addr, data, scheme, randomize } => {
                 self.exec_program(*addr, data.clone(), *scheme, *randomize)?

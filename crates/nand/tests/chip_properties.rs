@@ -30,12 +30,16 @@ fn runner_chip(seed: u64, inject: bool) -> NandChip {
     chip.set_retention_months(12.0);
     for block in 0..3u32 {
         let blk = BlockAddr::new(0, block);
-        let scheme =
-            if block == 1 { ProgramScheme::Slc } else { ProgramScheme::esp_default() };
+        let scheme = if block == 1 { ProgramScheme::Slc } else { ProgramScheme::esp_default() };
         for wl in 0..8 {
             let data = BitVec::random(bits, &mut rng);
-            chip.execute(Command::Program { addr: blk.wordline(wl), data, scheme, randomize: false })
-                .unwrap();
+            chip.execute(Command::Program {
+                addr: blk.wordline(wl),
+                data,
+                scheme,
+                randomize: false,
+            })
+            .unwrap();
         }
     }
     let mask = BitVec::random_with_density(bits, 0.1, &mut rng);
