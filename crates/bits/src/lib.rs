@@ -29,7 +29,7 @@ pub const WORD_BITS: usize = 64;
 /// [`BitVec::at_least_into`], …). A chunk of the output and the threshold
 /// kernel's counter planes for it stay in L1 while every operand streams
 /// through once.
-pub const CHUNK_WORDS: usize = 32;
+pub const CHUNK_WORDS: usize = 128;
 
 /// Returns the number of `u64` words needed to hold `bits` bits.
 ///

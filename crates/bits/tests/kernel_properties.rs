@@ -224,10 +224,10 @@ fn chunked_folds_match_per_bit_reference_across_chunks() {
 
 /// The threshold kernel matches a per-bit vote count for every operand
 /// count 1..=64 and every k in 0..=n+2, plain and complemented, on a
-/// length that spans two chunks and ends mid-word.
+/// length that crosses a chunk boundary and ends mid-word.
 #[test]
 fn at_least_matches_per_bit_vote_count() {
-    let len = 2 * CHUNK_WORDS * 64 + 37;
+    let len = CHUNK_WORDS * 64 + 37;
     let mut rng = StdRng::seed_from_u64(77);
     use rand::Rng;
     let mut out = BitVec::default();
