@@ -98,7 +98,7 @@ impl BitVec {
     /// Panics if `ops` is empty or the operands' lengths differ.
     pub fn or_fold(ops: &[&Self]) -> Self {
         let mut out = Self::new();
-        Self::or_fold_into(ops, &mut out);
+        Self::fold_into(ops, &mut out, |a, b| *a |= b);
         out
     }
 
@@ -112,17 +112,6 @@ impl BitVec {
     /// Panics if `ops` is empty or the operands' lengths differ.
     pub fn and_fold_into(ops: &[&Self], out: &mut Self) {
         Self::fold_into(ops, out, |a, b| *a &= b);
-    }
-
-    /// Overwrites `out` with `ops[0] | ops[1] | …` in one pass, reusing
-    /// `out`'s allocation — the OR counterpart of
-    /// [`BitVec::and_fold_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty or the operands' lengths differ.
-    pub fn or_fold_into(ops: &[&Self], out: &mut Self) {
-        Self::fold_into(ops, out, |a, b| *a |= b);
     }
 
     /// In-place multi-operand AND: `self &= ops[0] & ops[1] & …`. Chunk
